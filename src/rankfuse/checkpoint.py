@@ -1,18 +1,24 @@
-"""Flat text container for parameter sets.
+"""Binary container for parameter sets and the embedding index.
 
-Layout (tab-separated, sorted for byte-stable output):
+One container format serves `encoder.ckpt`, `model.ckpt` and `index.tsv`.
+It is an uncompressed `np.savez` archive holding:
 
-    rankfuse-params 1
-    meta\t<key>\t<value>          zero or more, keys sorted
-    param\t<name>\t<group>\t<d1,d2,...>\t<v1,v2,...>   sorted by name
+    head        uint8 array: UTF-8 JSON, keys sorted, with "format" and
+                "kind" plus whatever the writer adds (meta, parameter names
+                and groups, index dim and checkpoint id)
+    <name>      float64 and int64 arrays, named by the writer
 
-Values are written with 17 significant digits, which round-trips float64
-exactly, so save followed by load is value-exact.
+Arrays hold raw float64 bits, so save followed by load is value-exact. The
+archive is written to an open handle (given a bare path numpy would append
+`.npz`) with members in sorted order; zip entries carry numpy's fixed 1980
+timestamp, so equal inputs give equal bytes. Loading never unpickles.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -20,62 +26,106 @@ import numpy as np
 from .autodiff import Parameter
 from .errors import DatasetParseError, ValidationError
 
-FORMAT_LINE = "rankfuse-params 1"
+FORMAT = "rankfuse-container 1"
+# first bytes of the text formats this container replaced
+LEGACY_HEADERS = (b"rankfuse-params 1", b"dim=")
+_ZIP_MAGIC = b"PK\x03\x04"
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+def save_container(path, kind: str, head: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write `head` (JSON-able) and `arrays` to exactly `path`."""
+    blob = json.dumps({"format": FORMAT, "kind": kind, **head}, sort_keys=True).encode("utf-8")
+    members = {"head": np.frombuffer(blob, dtype=np.uint8)}
+    members.update((name, arrays[name]) for name in sorted(arrays))
+    with open(path, "wb") as fh:
+        np.savez(fh, allow_pickle=False, **members)
+
+
+def load_container(path, kind: str, rerun: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a container of `kind`; every failure is a DatasetParseError naming
+    the file. `rerun` names the command that writes this file, for the
+    message about a file in a replaced text format."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        start = fh.read(32)
+    if start.startswith(LEGACY_HEADERS):
+        raise DatasetParseError(
+            None, f"{path} is in the old text format; re-run `{rerun}` to rewrite it"
+        )
+    if not start.startswith(_ZIP_MAGIC):
+        raise DatasetParseError(None, f"{path} is not a rankfuse {kind} file")
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as e:
+        raise DatasetParseError(None, f"{path}: unreadable {kind} file: {e}") from None
+    if not all(isinstance(a, np.ndarray) for a in arrays.values()):
+        raise DatasetParseError(None, f"{path}: {kind} file holds a member that is not an array")
+    raw = arrays.pop("head", None)
+    if raw is None or raw.dtype != np.uint8 or raw.ndim != 1:
+        raise DatasetParseError(None, f"{path}: {kind} file has no head")
+    try:
+        head = json.loads(raw.tobytes().decode("utf-8"))
+    except ValueError as e:
+        raise DatasetParseError(None, f"{path}: bad {kind} head: {e}") from None
+    if not isinstance(head, dict) or head.get("format") != FORMAT or head.get("kind") != kind:
+        raise DatasetParseError(None, f"{path}: not a {FORMAT!r} {kind} file")
+    return head, arrays
+
+
+def require_array(path, arrays: dict[str, np.ndarray], name: str, dtype, ndim: int) -> np.ndarray:
+    """The named array, checked for presence, dtype and rank."""
+    a = arrays.get(name)
+    if a is None:
+        raise DatasetParseError(None, f"{path}: missing array {name!r}")
+    if a.dtype != dtype or a.ndim != ndim:
+        raise DatasetParseError(
+            None, f"{path}: array {name!r} is {a.dtype}[{a.ndim}D], expected {np.dtype(dtype)}[{ndim}D]"
+        )
+    return a
 
 
 def save_params(path, params: dict[str, Parameter], meta: dict[str, str] | None = None):
     """Write parameters (and optional string metadata) to `path`."""
-    lines = [FORMAT_LINE]
-    for key in sorted(meta or {}):
-        value = str((meta or {})[key])
-        if any(c in key or c in value for c in "\t\n"):
-            raise ValidationError(f"meta entry {key!r} contains tab/newline")
-        lines.append(f"meta\t{key}\t{value}")
-    for name in sorted(params):
+    names = sorted(params)
+    arrays = {}
+    for i, name in enumerate(names):
         p = params[name]
         if p.name != name:
             raise ValidationError(f"params dict key {name!r} != parameter name {p.name!r}")
         if p.data.ndim < 1:
             raise ValidationError(f"parameter {name!r} must be at least 1D")
-        shape = ",".join(str(d) for d in p.data.shape)
-        values = ",".join(_fmt(v) for v in p.data.reshape(-1))
-        lines.append(f"param\t{name}\t{p.group}\t{shape}\t{values}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        arrays[f"param{i}"] = np.ascontiguousarray(p.data, dtype=np.float64)
+    head = {
+        "meta": {str(k): str(v) for k, v in (meta or {}).items()},
+        "names": names,
+        "groups": [params[name].group for name in names],
+    }
+    save_container(path, "params", head, arrays)
 
 
-def load_params(path) -> tuple[dict[str, Parameter], dict[str, str]]:
+def load_params(path, rerun: str = "the command that wrote it") -> tuple[dict[str, Parameter], dict[str, str]]:
     """Read a container written by save_params. Returns (params, meta)."""
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines or lines[0] != FORMAT_LINE:
-        raise DatasetParseError(1, f"bad format header, expected {FORMAT_LINE!r}")
-    params: dict[str, Parameter] = {}
-    meta: dict[str, str] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split("\t")
-        if fields[0] == "meta":
-            if len(fields) != 3:
-                raise DatasetParseError(lineno, "meta line needs 3 fields")
-            meta[fields[1]] = fields[2]
-        elif fields[0] == "param":
-            if len(fields) != 5:
-                raise DatasetParseError(lineno, "param line needs 5 fields")
-            _, name, group, shape_s, values_s = fields
-            try:
-                shape = tuple(int(d) for d in shape_s.split(","))
-                data = np.array([float(v) for v in values_s.split(",")], dtype=np.float64)
-                data = data.reshape(shape)
-            except ValueError as e:
-                raise DatasetParseError(lineno, f"bad param payload: {e}") from None
-            params[name] = Parameter(name, data, group)
-        else:
-            raise DatasetParseError(lineno, f"unknown record kind {fields[0]!r}")
+    head, arrays = load_container(path, "params", rerun)
+    names, groups, meta = head.get("names"), head.get("groups"), head.get("meta")
+    if not (
+        _strings(names) and _strings(groups) and len(names) == len(groups)
+        and isinstance(meta, dict) and _strings(list(meta.values()))
+    ):
+        raise DatasetParseError(None, f"{path}: params head needs string names, groups and meta")
+    if len(arrays) != len(names):
+        raise DatasetParseError(None, f"{path}: {len(names)} parameters but {len(arrays)} arrays")
+    params = {}
+    for i, (name, group) in enumerate(zip(names, groups)):
+        data = arrays.get(f"param{i}")
+        if data is None or data.dtype != np.float64 or data.ndim < 1:
+            raise DatasetParseError(None, f"{path}: parameter {name!r} is missing or not float64")
+        params[name] = Parameter(name, data, group)
     return params, meta
+
+
+def _strings(xs) -> bool:
+    return isinstance(xs, list) and all(isinstance(x, str) for x in xs)
 
 
 def params_digest(params: dict[str, Parameter]) -> str:

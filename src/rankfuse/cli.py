@@ -3,8 +3,9 @@
 Every command takes --out-dir, echoes its effective configuration there as
 `config.resolved`, and writes exactly one `manifest.json` recording the
 command, the resolved config, input/output file digests, and wall-clock
-duration. Exit codes: 0 success, 1 validation or missing-input error,
-2 runtime error.
+duration; train, eval and rank also record `index_cache_misses`, the
+lookups the index had to encode on the fly. Exit codes: 0 success,
+1 validation or missing-input error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -288,7 +289,10 @@ def cmd_train(args) -> int:
     log = _write_lines(out / "training.log", [r.to_line() for r in reports])
     outputs = [ckpt, log, cf.write_resolved(cfg, out)]
     inputs = ([args.config] if args.config else []) + [train_file, index_file]
-    _write_manifest(out, "train", cfg, inputs, outputs, started, extra={"variant": variant})
+    _write_manifest(
+        out, "train", cfg, inputs, outputs, started,
+        extra={"variant": variant, "index_cache_misses": index.cache_misses},
+    )
     last = reports[-1].total if reports else float("nan")
     print(f"train [{variant}]: {len(samples)} impressions, final batch loss {last:.6f} -> {ckpt}")
     return 0
@@ -327,7 +331,10 @@ def cmd_eval(args) -> int:
     outputs = [table_path, metrics_path, cf.write_resolved(cfg, out)]
     inputs = ([args.config] if args.config else []) + [test_file, index_file]
     inputs += [path for _, path in variants]
-    _write_manifest(out, "eval", cfg, inputs, outputs, started)
+    _write_manifest(
+        out, "eval", cfg, inputs, outputs, started,
+        extra={"index_cache_misses": index.cache_misses},
+    )
     return 0
 
 
@@ -442,12 +449,19 @@ def cmd_rank(args) -> int:
     user_file = _require(args.user_file, "user context file")
     cand_file = _require(args.candidates_file, "candidates file")
 
+    user_id, history = _read_user_context(user_file)
+    candidates = _read_candidates(cand_file)
+    dt.check_text(args.query, "--query")
+    for q, i in history:
+        dt.check_text(q, "history query")
+        dt.check_text(i, "history item")
+    for _, item_text in candidates:
+        dt.check_text(item_text, "candidate text")
+
     params, _ = md.load_model(ckpt_file)
     index = load_index(index_file)
     if args.encoder:
         index.attach_encoder(load_encoder(_require(args.encoder, "encoder checkpoint")))
-    user_id, history = _read_user_context(user_file)
-    candidates = _read_candidates(cand_file)
 
     scored = []
     for item_id, item_text in candidates:
@@ -465,7 +479,10 @@ def cmd_rank(args) -> int:
     inputs = ([args.config] if args.config else []) + [ckpt_file, index_file, user_file, cand_file]
     if args.encoder:
         inputs.append(args.encoder)
-    _write_manifest(out, "rank", cfg, inputs, outputs, started)
+    _write_manifest(
+        out, "rank", cfg, inputs, outputs, started,
+        extra={"index_cache_misses": index.cache_misses},
+    )
     return 0
 
 

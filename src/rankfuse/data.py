@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .autodiff import np_sigmoid
-from .encoder import tokenize
+from .encoder import PAIR_KEY_SEP, tokenize
 from .errors import DatasetParseError, ValidationError
 
 HISTORY_LIMIT = 50
@@ -31,8 +31,9 @@ DATASET_COLUMNS = (
     "history",
 )
 SIDECAR_COLUMNS = ("relevance", "quality", "sensitivity", "true_click_prob")
-# texts travel in a tab-separated format with ;-joined, ^-paired history
-FORBIDDEN_CHARS = ("\t", ";", "^", "\n")
+# texts travel in a tab-separated format with ;-joined, ^-paired history,
+# and the embedding index joins a query and an item with PAIR_KEY_SEP
+FORBIDDEN_CHARS = ("\t", ";", "^", "\n", PAIR_KEY_SEP)
 
 _SYLLABLES = [c + v for c in "bdklmnprstvz" for v in "aeiou"]
 
@@ -323,7 +324,7 @@ def split_corpus(samples: list[Sample]) -> tuple[list[Sample], list[Sample], lis
 # serialization
 
 
-def _check_text(text: str, what: str) -> str:
+def check_text(text: str, what: str) -> str:
     for ch in FORBIDDEN_CHARS:
         if ch in text:
             raise ValidationError(f"{what} contains forbidden character {ch!r}")
@@ -335,7 +336,7 @@ def _format_history(history: list[tuple[str, str]]) -> str:
     for q, i in history:
         if not q or not i:
             raise ValidationError("history entries must be non-empty")
-        parts.append(f"{_check_text(q, 'history query')}^{_check_text(i, 'history item')}")
+        parts.append(f"{check_text(q, 'history query')}^{check_text(i, 'history item')}")
     return ";".join(parts)
 
 
@@ -348,9 +349,9 @@ def write_dataset(samples: list[Sample], path: str) -> None:
                 raise ValidationError(f"history longer than {HISTORY_LIMIT}")
             row = (
                 str(int(s.user_id)),
-                _check_text(s.query_text, "query_text"),
+                check_text(s.query_text, "query_text"),
                 str(int(s.item_id)),
-                _check_text(s.item_text, "item_text"),
+                check_text(s.item_text, "item_text"),
                 str(int(s.category_match)),
                 str(int(s.contains_query)),
                 str(int(s.rsl)),

@@ -14,20 +14,27 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache
-from pathlib import Path
-from time import time
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import (
     DatasetParseError,
+    DimensionError,
     EmbeddingLookupError,
     TrainingError,
     ValidationError,
 )
 
 PAIR_KEY_SEP = ""
+
+
+def pair_key(query: str, item: str) -> str:
+    """Index key of a (query, item) pair; neither side may hold the separator,
+    or two different pairs could share one key."""
+    if PAIR_KEY_SEP in query or PAIR_KEY_SEP in item:
+        raise ValidationError(f"pair text contains the key separator {PAIR_KEY_SEP!r}")
+    return query + PAIR_KEY_SEP + item
 
 
 def tokenize(text: str) -> list[str]:
@@ -273,7 +280,6 @@ class EmbeddingIndex:
     text: dict[str, np.ndarray] = field(default_factory=dict)
     pair: dict[str, np.ndarray] = field(default_factory=dict)
     cache_misses: int = 0
-    built_at: float | None = None
     _encoder: EncoderParams | None = None
 
     def attach_encoder(self, params: EncoderParams):
@@ -291,7 +297,7 @@ class EmbeddingIndex:
         return vec
 
     def lookup_pair(self, query: str, item: str) -> np.ndarray:
-        key = query + PAIR_KEY_SEP + item
+        key = pair_key(query, item)
         hit = self.pair.get(key)
         if hit is not None:
             return hit
@@ -311,7 +317,7 @@ def build_index(
     batch_size: int = 1024,
 ) -> EmbeddingIndex:
     """Encode every distinct text and pair once. Deterministic for fixed inputs."""
-    index = EmbeddingIndex(dim=params.config.d, checkpoint_id=checkpoint_id, built_at=time())
+    index = EmbeddingIndex(dim=params.config.d, checkpoint_id=checkpoint_id)
     uniq_texts = sorted(set(texts))
     uniq_pairs = sorted(set(pairs))
     for lo in range(0, len(uniq_texts), batch_size):
@@ -323,7 +329,7 @@ def build_index(
         chunk = uniq_pairs[lo : lo + batch_size]
         vecs = _encode_id_lists(params, [_pair_ids(params, q, i) for q, i in chunk])
         for (q, i), v in zip(chunk, vecs):
-            index.pair[q + PAIR_KEY_SEP + i] = v
+            index.pair[pair_key(q, i)] = v
     return index
 
 
@@ -345,7 +351,7 @@ def load_encoder(path) -> EncoderParams:
     """Rebuild an EncoderParams from a checkpoint; shapes are re-validated."""
     from .checkpoint import load_params
 
-    loaded, meta = load_params(path)
+    loaded, meta = load_params(path, rerun="rankfuse encoder pretrain/finetune")
     kw: dict = {k: int(meta[k]) for k in _ENCODER_META_INT}
     kw.update({k: float(meta[k]) for k in _ENCODER_META_FLOAT})
     params = init_encoder(EncoderConfig(**kw))
@@ -368,46 +374,63 @@ def encoder_digest(params: EncoderParams) -> str:
     return params_digest(params.params())
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def save_index(index: EmbeddingIndex, path):
-    """Write `dim=<d> checkpoint=<id>` then one `<kind>\\t<key>\\t<csv>` per entry."""
-    lines = [f"dim={index.dim} checkpoint={index.checkpoint_id}"]
-    for key in sorted(index.text):
-        if "\t" in key or "\n" in key:
-            raise ValidationError(f"text key contains tab/newline: {key!r}")
-        lines.append("text\t" + key + "\t" + ",".join(_fmt(v) for v in index.text[key]))
-    for key in sorted(index.pair):
-        if "\t" in key or "\n" in key:
-            raise ValidationError(f"pair key contains tab/newline: {key!r}")
-        lines.append("pair\t" + key + "\t" + ",".join(_fmt(v) for v in index.pair[key]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the index as a binary container (see `checkpoint`).
+
+    For each kind, text and pair, the keys are sorted and stored as one UTF-8
+    blob plus int64 byte offsets (`<kind>_keys`, `<kind>_offsets`), and the
+    vectors as the rows of a float64 `<kind>_mat` of width `dim`.
+    """
+    from .checkpoint import save_container
+
+    arrays = {}
+    for kind, table in (("text", index.text), ("pair", index.pair)):
+        keys = sorted(table)
+        encoded = [k.encode("utf-8") for k in keys]
+        offsets = np.zeros(len(keys) + 1, dtype=np.int64)
+        np.cumsum([len(b) for b in encoded], out=offsets[1:])
+        mat = np.empty((len(keys), index.dim), dtype=np.float64)
+        for row, key in enumerate(keys):
+            vec = np.asarray(table[key], dtype=np.float64)
+            if vec.shape != (index.dim,):
+                raise DimensionError(f"{kind} vector for {key!r} has shape {vec.shape}, not ({index.dim},)")
+            mat[row] = vec
+        arrays[f"{kind}_keys"] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+        arrays[f"{kind}_offsets"] = offsets
+        arrays[f"{kind}_mat"] = mat
+    head = {"dim": index.dim, "checkpoint_id": index.checkpoint_id}
+    save_container(path, "index", head, arrays)
 
 
 def load_index(path) -> EmbeddingIndex:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise DatasetParseError(1, "empty index file")
-    header = lines[0].split(" ")
-    if len(header) != 2 or not header[0].startswith("dim=") or not header[1].startswith("checkpoint="):
-        raise DatasetParseError(1, f"bad index header: {lines[0]!r}")
-    try:
-        dim = int(header[0][4:])
-    except ValueError:
-        raise DatasetParseError(1, f"bad dim in header: {lines[0]!r}") from None
-    index = EmbeddingIndex(dim=dim, checkpoint_id=header[1][len("checkpoint="):])
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split("\t")
-        if len(fields) != 3 or fields[0] not in ("text", "pair"):
-            raise DatasetParseError(lineno, "expected <kind>\\t<key>\\t<values>")
-        kind, key, values_s = fields
+    """Read an index written by save_index; `.text` and `.pair` map each key
+    to a row view of its kind's matrix. Every structural fault is a
+    DatasetParseError naming the file."""
+    from .checkpoint import load_container, require_array
+
+    head, arrays = load_container(path, "index", rerun="rankfuse encoder build-index")
+    dim, checkpoint_id = head.get("dim"), head.get("checkpoint_id")
+    if type(dim) is not int or dim < 1 or not isinstance(checkpoint_id, str):
+        raise DatasetParseError(None, f"{path}: index head needs a positive dim and a checkpoint_id")
+    index = EmbeddingIndex(dim=dim, checkpoint_id=checkpoint_id)
+    for kind, table in (("text", index.text), ("pair", index.pair)):
+        blob = require_array(path, arrays, f"{kind}_keys", np.uint8, 1).tobytes()
+        offsets = require_array(path, arrays, f"{kind}_offsets", np.int64, 1)
+        mat = require_array(path, arrays, f"{kind}_mat", np.float64, 2)
+        if mat.shape[1] != dim:
+            raise DatasetParseError(None, f"{path}: {kind}_mat width {mat.shape[1]} != dim {dim}")
+        if offsets.size != mat.shape[0] + 1:
+            raise DatasetParseError(
+                None, f"{path}: {offsets.size - 1} {kind} keys for {mat.shape[0]} rows"
+            )
+        if offsets[0] != 0 or offsets[-1] != len(blob) or (np.diff(offsets) < 0).any():
+            raise DatasetParseError(None, f"{path}: {kind}_offsets do not partition the key blob")
+        bounds = offsets.tolist()
         try:
-            vec = np.array([float(v) for v in values_s.split(",")], dtype=np.float64)
-        except ValueError as e:
-            raise DatasetParseError(lineno, f"bad vector: {e}") from None
-        if vec.size != dim:
-            raise DatasetParseError(lineno, f"vector length {vec.size} != dim {dim}")
-        (index.text if kind == "text" else index.pair)[key] = vec
+            keys = [blob[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
+        except UnicodeDecodeError as e:
+            raise DatasetParseError(None, f"{path}: {kind} key is not UTF-8: {e}") from None
+        table.update(zip(keys, mat))
+        if len(table) != len(keys):
+            raise DatasetParseError(None, f"{path}: duplicate {kind} keys")
     return index

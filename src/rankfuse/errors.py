@@ -21,10 +21,11 @@ class DimensionError(ValidationError):
 
 
 class DatasetParseError(ValidationError):
-    """Malformed dataset/sidecar/index line. Carries the 1-based line number."""
+    """Malformed dataset, sidecar, index or checkpoint. Carries the 1-based
+    line number of a text file, or None for a binary one."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: int | None, message: str):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -48,7 +49,7 @@ class TrainingError(RankfuseError, RuntimeError):
     """Training cannot proceed (degenerate labels, non-finite loss, ...)."""
 
 
-class EmbeddingLookupError(RankfuseError, LookupError):
+class EmbeddingLookupError(ValidationError, LookupError):
     """Index lookup failed and no encoder parameters were given to fall back on."""
 
 

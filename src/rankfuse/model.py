@@ -258,7 +258,7 @@ def load_model(path: str) -> tuple[ModelParams, dict[str, str]]:
     """Rebuild a ModelParams from a checkpoint; shapes are re-validated."""
     from .checkpoint import load_params
 
-    loaded, meta = load_params(path)
+    loaded, meta = load_params(path, rerun="rankfuse train")
     config = config_from_meta(meta)
     params = build_model(config)
     expected = params.all_params()

@@ -9,7 +9,7 @@ from rankfuse import data as dt
 from rankfuse import model as md
 from rankfuse import training as tr
 from rankfuse.cli import main
-from rankfuse.encoder import load_index
+from rankfuse.encoder import PAIR_KEY_SEP, load_index
 from rankfuse.evaluation import read_metrics_file
 
 
@@ -449,7 +449,7 @@ def test_rank_input_validation(pipe, ranked_model, tmp_path):
     ) == 1
 
 
-def test_rank_unseen_text_without_encoder_is_runtime_error(pipe, ranked_model, tmp_path):
+def test_rank_unseen_text_without_encoder_is_validation_error(pipe, ranked_model, tmp_path, capsys):
     query, user_file, _, _ = write_rank_inputs(tmp_path, pipe)
     cands = tmp_path / "new.txt"
     cands.write_text("1\ttotally unseen item text\n", encoding="utf-8")
@@ -458,4 +458,61 @@ def test_rank_unseen_text_without_encoder_is_runtime_error(pipe, ranked_model, t
          "--query", query, "--user-file", str(user_file),
          "--candidates-file", str(cands), "--out-dir", str(tmp_path / "rk")]
     )
-    assert code == 2
+    assert code == 1
+    assert "not indexed" in capsys.readouterr().err
+
+
+def test_rank_old_text_index_exits_1(pipe, ranked_model, tmp_path, capsys):
+    query, user_file, cands, _ = write_rank_inputs(tmp_path, pipe)
+    old_index = tmp_path / "index.tsv"
+    old_index.write_text("dim=16 checkpoint=abc\ntext\tred\t" + ",".join(["0.25"] * 16) + "\n")
+    code = main(
+        ["rank", "--checkpoint", str(ranked_model), "--index", str(old_index),
+         "--query", query, "--user-file", str(user_file),
+         "--candidates-file", str(cands), "--out-dir", str(tmp_path / "rk")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(old_index) in err and "build-index" in err
+
+
+def test_rank_rejects_pair_key_separator(pipe, ranked_model, tmp_path):
+    query, user_file, cands, _ = write_rank_inputs(tmp_path, pipe)
+    bad = "a" + PAIR_KEY_SEP + "b"
+    bad_cands = tmp_path / "bad_cands.txt"
+    bad_cands.write_text(f"1\t{bad}\n", encoding="utf-8")
+    bad_user = tmp_path / "bad_user.txt"
+    bad_user.write_text(f"user_id=4\n{query}^{bad}\n", encoding="utf-8")
+    for n, (q, u, c) in enumerate(
+        ((bad, user_file, cands), (query, user_file, bad_cands), (query, bad_user, cands))
+    ):
+        code = main(
+            ["rank", "--checkpoint", str(ranked_model), "--index", str(pipe["index"]),
+             "--encoder", str(pipe["encoder"]), "--query", q, "--user-file", str(u),
+             "--candidates-file", str(c), "--out-dir", str(tmp_path / f"rk{n}")]
+        )
+        assert code == 1
+
+
+def test_manifests_report_index_cache_misses(pipe, ranked_model, tmp_path):
+    def misses(out_dir):
+        return json.loads((out_dir / "manifest.json").read_text())["index_cache_misses"]
+
+    assert misses(ranked_model.parent) == 0
+    query, user_file, _, _ = write_rank_inputs(tmp_path, pipe)
+    cands = tmp_path / "new.txt"
+    cands.write_text("1\ttotally unseen item text\n2\tanother new one\n", encoding="utf-8")
+    out = tmp_path / "rk"
+    code = main(
+        ["rank", "--checkpoint", str(ranked_model), "--index", str(pipe["index"]),
+         "--encoder", str(pipe["encoder"]), "--query", query, "--user-file", str(user_file),
+         "--candidates-file", str(cands), "--out-dir", str(out)]
+    )
+    assert code == 0
+    assert misses(out) > 0
+    ev_out = tmp_path / "ev"
+    assert main(
+        ["eval", "--checkpoint", f"full={ranked_model}", "--test-file", str(pipe["test"]),
+         "--index", str(pipe["index"]), "--out-dir", str(ev_out)]
+    ) == 0
+    assert misses(ev_out) == 0

@@ -235,6 +235,16 @@ def test_forbidden_characters_rejected_on_write(tmp_path):
         dt.write_dataset([s2], str(tmp_path / "y.tsv"))
 
 
+def test_pair_key_separator_is_forbidden(tmp_path):
+    from rankfuse.encoder import PAIR_KEY_SEP
+
+    assert PAIR_KEY_SEP in dt.FORBIDDEN_CHARS
+    for s in (dt.Sample(1, "a" + PAIR_KEY_SEP + "b", 2, "c", 1, 1, 3, 0, []),
+              dt.Sample(1, "a", 2, "c", 1, 1, 3, 0, [("a", "b" + PAIR_KEY_SEP + "c")])):
+        with pytest.raises(ValidationError):
+            dt.write_dataset([s], str(tmp_path / "x.tsv"))
+
+
 def test_sidecar_roundtrip_exact(tmp_path):
     samples, _ = small_corpus(n_impressions=50)
     path = tmp_path / "truth.tsv"

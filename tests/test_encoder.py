@@ -219,9 +219,76 @@ def test_load_index_rejects_bad_header(tmp_path):
         enc.load_index(path)
 
 
-def test_load_index_rejects_wrong_vector_length(tmp_path):
-    path = tmp_path / "bad.idx"
-    path.write_text("dim=3 checkpoint=x\ntext\thello\t1.0,2.0\n")
+def _rewrite_index(path, edit):
+    """Apply `edit` to the members of a saved index and write them back."""
+    with np.load(path, allow_pickle=False) as z:
+        members = {k: z[k] for k in z.files}
+    edit(members)
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+
+
+def _narrow_matrix(m):
+    m["text_mat"] = m["text_mat"][:, :-1]
+
+
+def _drop_key(m):
+    m["pair_offsets"] = m["pair_offsets"][:-1]
+    m["pair_keys"] = m["pair_keys"][: m["pair_offsets"][-1]]
+
+
+INDEX_DAMAGE = {
+    "width-not-dim": lambda path: _rewrite_index(path, _narrow_matrix),
+    "keys-not-rows": lambda path: _rewrite_index(path, _drop_key),
+    "missing-array": lambda path: _rewrite_index(path, lambda m: m.pop("pair_mat")),
+    "pickled-member": lambda path: _rewrite_index(
+        path, lambda m: m.update(text_keys=np.array(["red shoe"], dtype=object))),
+    "truncated": lambda path: path.write_bytes(path.read_bytes()[:-100]),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(INDEX_DAMAGE))
+def test_load_index_rejects_malformed_container(tmp_path, damage):
+    _, index = _tiny_index()
+    path = tmp_path / "index.tsv"
+    enc.save_index(index, path)
+    INDEX_DAMAGE[damage](path)
     with pytest.raises(DatasetParseError) as exc:
         enc.load_index(path)
-    assert exc.value.line_no == 2
+    assert str(path) in str(exc.value)
+
+
+def test_load_index_old_text_format_names_the_stage(tmp_path):
+    path = tmp_path / "index.tsv"
+    path.write_text("dim=3 checkpoint=x\ntext\thello\t1.0,2.0,3.0\n")
+    with pytest.raises(ValidationError) as exc:
+        enc.load_index(path)
+    assert str(path) in str(exc.value) and "build-index" in str(exc.value)
+
+
+def test_index_keeps_any_key_text_exactly(tmp_path):
+    # keys with trailing NULs, tabs, newlines and non-ASCII survive the blob
+    index = enc.EmbeddingIndex(dim=2, checkpoint_id="k")
+    keys = ["a\x00", "a", "", "t\tab\nnl", "caf\u00e9 \U0001f600"]
+    for n, key in enumerate(keys):
+        index.text[key] = np.array([n, -n], dtype=np.float64)
+    index.pair[enc.pair_key("q\x00", "i")] = np.array([0.5, 0.25])
+    path = tmp_path / "index.tsv"
+    enc.save_index(index, path)
+    loaded = enc.load_index(path)
+    assert list(loaded.text) == sorted(keys) and list(loaded.pair) == list(index.pair)
+    for key in keys:
+        assert (loaded.text[key] == index.text[key]).all()
+
+
+def test_pair_key_separator_cannot_collide():
+    params, index = _tiny_index()
+    index.attach_encoder(params)
+    for query, item in (("a\x01b", "c"), ("a", "b\x01c")):
+        assert enc.PAIR_KEY_SEP in query + item
+        with pytest.raises(ValidationError):
+            index.lookup_pair(query, item)
+    assert index.cache_misses == 0
+    assert "a\x01b\x01c" not in index.pair
+    with pytest.raises(ValidationError):
+        enc.build_index(params, [], [("a\x01b", "c")], checkpoint_id="x")
