@@ -124,6 +124,23 @@ def load_params(path, rerun: str = "the command that wrote it") -> tuple[dict[st
     return params, meta
 
 
+# a meta key that only one checkpoint kind writes, and that kind's name
+_KIND_MARKERS = (("variant", "a model"), ("vocab_size", "an encoder"))
+
+
+def require_meta(path, meta: dict[str, str], keys, kind: str) -> None:
+    """DatasetParseError naming `path` unless `meta` holds every key; `kind`
+    ("a model", "an encoder") is what the caller expects, and the message
+    names the kind found when the meta shows it."""
+    missing = [k for k in keys if k not in meta]
+    if not missing:
+        return
+    found = next((name for key, name in _KIND_MARKERS if key in meta), None)
+    if found is not None and found != kind:
+        raise DatasetParseError(None, f"{path} is {found} checkpoint; expected {kind} checkpoint")
+    raise DatasetParseError(None, f"{path}: {kind} checkpoint meta lacks {missing}")
+
+
 def _strings(xs) -> bool:
     return isinstance(xs, list) and all(isinstance(x, str) for x in xs)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -351,6 +352,8 @@ def cmd_sweep(args) -> int:
             values = tuple(float(v) for v in args.values.split(","))
         except ValueError:
             raise ValidationError(f"--values expects comma-separated numbers: {args.values!r}") from None
+        if not all(math.isfinite(v) for v in values):
+            raise ValidationError(f"--values expects finite numbers: {args.values!r}")
     else:
         values = ALPHA_SWEEP if args.param == "alpha" else GAMMA_SWEEP
     if len(values) < 2:
@@ -463,11 +466,15 @@ def cmd_rank(args) -> int:
     if args.encoder:
         index.attach_encoder(load_encoder(_require(args.encoder, "encoder checkpoint")))
 
-    scored = []
-    for item_id, item_text in candidates:
-        sample = md.sample_for_scoring(user_id, args.query, item_id, item_text, history)
-        scored.append((item_id, item_text, md.personalized_score(sample, index, params)))
-    scored.sort(key=lambda row: (-row[2].final, row[0]))
+    samples = [
+        md.sample_for_scoring(user_id, args.query, item_id, item_text, history)
+        for item_id, item_text in candidates
+    ]
+    breakdowns = md.personalized_score(samples, index, params)
+    scored = sorted(
+        ((item_id, item_text, bd) for (item_id, item_text), bd in zip(candidates, breakdowns)),
+        key=lambda row: (-row[2].final, row[0]),
+    )
 
     rank_lines = [f"{item_id}\t{item_text}\t{bd.final:.17g}" for item_id, item_text, bd in scored]
     for line in rank_lines:

@@ -9,6 +9,7 @@ config file that reproduces the run.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .data import HISTORY_LIMIT, GeneratorConfig
@@ -144,6 +145,10 @@ def resolve_config(file_path=None, overrides: dict | None = None) -> dict:
             cfg[key] = value
     if cfg["history_limit"] != HISTORY_LIMIT:
         raise ValidationError(f"history_limit is fixed at {HISTORY_LIMIT}")
+    for key, default in DEFAULTS.items():
+        values = cfg[key] if isinstance(default, tuple) else (cfg[key],)
+        if isinstance(default, (float, tuple)) and not all(math.isfinite(v) for v in values):
+            raise ValidationError(f"config key {key}: expected finite numbers, got {cfg[key]!r}")
     return cfg
 
 

@@ -349,9 +349,10 @@ def save_encoder(params: EncoderParams, path) -> None:
 
 def load_encoder(path) -> EncoderParams:
     """Rebuild an EncoderParams from a checkpoint; shapes are re-validated."""
-    from .checkpoint import load_params
+    from .checkpoint import load_params, require_meta
 
     loaded, meta = load_params(path, rerun="rankfuse encoder pretrain/finetune")
+    require_meta(path, meta, _ENCODER_META_INT + _ENCODER_META_FLOAT, "an encoder")
     kw: dict = {k: int(meta[k]) for k in _ENCODER_META_INT}
     kw.update({k: float(meta[k]) for k in _ENCODER_META_FLOAT})
     params = init_encoder(EncoderConfig(**kw))

@@ -17,17 +17,18 @@ inputs, never trained here).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import kernels
-from .data import HISTORY_LIMIT, Sample, derive_flags
+from .data import Sample, derive_flags
 from .encoder import EmbeddingIndex, token_id, tokenize
 from .errors import DimensionError, ValidationError
 
 SCORE_EPS = 1e-7
+SCORE_BATCH = 4096  # rows per score_batch call when scoring without a tape
 VARIANTS = ("full", "no-prim", "base-only")
 N_LEVELS = 4
 FIELD_NAMES = ("user", "item", "query_category", "item_category", "query_tokens", "item_tokens")
@@ -110,20 +111,6 @@ class AttentionParams:
 
     def params(self) -> list[ad.Parameter]:
         return [self.w_q, self.w_k, self.w_v]
-
-
-@dataclass
-class PreferenceContext:
-    q_cur_emb: np.ndarray
-    q_seq_emb: list[np.ndarray]
-    r_seq_emb: list[np.ndarray]
-    r_cur_emb: np.ndarray
-
-    def __post_init__(self):
-        if len(self.q_seq_emb) != len(self.r_seq_emb):
-            raise DimensionError("query and relevance history lengths differ")
-        if len(self.q_seq_emb) > HISTORY_LIMIT:
-            raise ValidationError(f"history longer than {HISTORY_LIMIT}")
 
 
 @dataclass
@@ -234,7 +221,12 @@ def config_to_meta(config: ModelConfig) -> dict[str, str]:
     return meta
 
 
-def config_from_meta(meta: dict[str, str]) -> ModelConfig:
+def config_from_meta(meta: dict[str, str], path="checkpoint") -> ModelConfig:
+    """The model config a checkpoint's meta describes; DatasetParseError
+    naming `path` when the meta is not a model's."""
+    from .checkpoint import require_meta
+
+    require_meta(path, meta, ("variant",) + _META_INT + _META_BOOL + _META_TUPLE, "a model")
     kw: dict = {"variant": meta["variant"]}
     for k in _META_INT:
         kw[k] = int(meta[k])
@@ -259,7 +251,7 @@ def load_model(path: str) -> tuple[ModelParams, dict[str, str]]:
     from .checkpoint import load_params
 
     loaded, meta = load_params(path, rerun="rankfuse train")
-    config = config_from_meta(meta)
+    config = config_from_meta(meta, path)
     params = build_model(config)
     expected = params.all_params()
     if set(expected) != set(loaded):
@@ -581,23 +573,30 @@ def score_batch(params: ModelParams, batch: Batch) -> dict[str, ad.Tensor]:
     return out
 
 
+def _score_chunks(params: ModelParams, samples: list[Sample], index: EmbeddingIndex, batch_size: int):
+    """(rows, score_batch outputs) over the sample list in chunks of batch_size,
+    no tape."""
+    cache = TrainingCache(samples, index, params.config)
+    for lo in range(0, len(samples), batch_size):
+        rows = np.arange(lo, min(lo + batch_size, len(samples)), dtype=np.int64)
+        yield rows, score_batch(params, cache.batch(rows))
+
+
 def score_dataset(
     params: ModelParams,
     samples: list[Sample],
     index: EmbeddingIndex,
-    batch_size: int = 4096,
+    batch_size: int = SCORE_BATCH,
 ) -> np.ndarray:
     """Final scores for a sample list, batched, no tape."""
-    cache = TrainingCache(samples, index, params.config)
     out = np.empty(len(samples))
-    for lo in range(0, len(samples), batch_size):
-        rows = np.arange(lo, min(lo + batch_size, len(samples)), dtype=np.int64)
-        out[rows] = score_batch(params, cache.batch(rows))["final"].data
+    for rows, scores in _score_chunks(params, samples, index, batch_size):
+        out[rows] = scores["final"].data
     return out
 
 
 # ---------------------------------------------------------------------------
-# single-sample operations
+# per-sample breakdowns (rank)
 
 
 @dataclass
@@ -614,72 +613,21 @@ class ScoreBreakdown:
         return f"{self.final:.17g}\t{self.fused:.17g}\t{self.tau:.17g}\t{t}\t{g}"
 
 
-def _singleton(sample: Sample, index: EmbeddingIndex, params: ModelParams) -> Batch:
-    return build_batch([sample], index, params.config)
-
-
-def rsl_forward(sample: Sample, index: EmbeddingIndex, params: ModelParams) -> np.ndarray:
-    return rsl_forward_batch(params, _singleton(sample, index, params)).data[0]
-
-
-def base_forward(sample: Sample, index: EmbeddingIndex, params: ModelParams) -> np.ndarray:
-    return base_forward_batch(params, _singleton(sample, index, params)).data[0]
-
-
-def fuse(g: np.ndarray, T: np.ndarray) -> float:
-    """Total click probability: sum_i P(click|level i) * P(level i)."""
-    g = np.asarray(g, dtype=np.float64)
-    T = np.asarray(T, dtype=np.float64)
-    if g.shape != (N_LEVELS,) or T.shape != (N_LEVELS,):
-        raise DimensionError(f"fuse expects two length-{N_LEVELS} vectors")
-    return float(g @ T)
-
-
-def extract_history_preferences(
-    history: list[tuple[str, str]], index: EmbeddingIndex
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Embeds each history entry: query text plus the clicked pair."""
-    if len(history) > HISTORY_LIMIT:
-        raise ValidationError(f"history longer than {HISTORY_LIMIT}")
-    q_seq = [index.lookup_text(q) for q, _ in history]
-    r_seq = [index.lookup_pair(q, i) for q, i in history]
-    return q_seq, r_seq
-
-
-def current_preference(ctx: PreferenceContext, attn: AttentionParams) -> np.ndarray:
-    """Expected relevance embedding under attention to the current query."""
-    m = len(ctx.q_seq_emb)
-    if m == 0:
-        raise ValidationError("empty history: cold-start handling is the caller's")
-    hist_q = np.stack(ctx.q_seq_emb)[None, :, :]
-    hist_r = np.stack(ctx.r_seq_emb)[None, :, :]
-    mask = np.ones((1, m), dtype=bool)
-    return attention_expectation(attn, ctx.q_cur_emb[None, :], hist_q, hist_r, mask).data[0]
-
-
-def incentive(r_cur_emb: np.ndarray, r_expect_emb: np.ndarray, layers) -> float:
-    """tau = 2*sigmoid(z) in (0,2); callers use tau=1 for empty histories."""
-    r_cur_emb = np.asarray(r_cur_emb, dtype=np.float64)
-    r_expect_emb = np.asarray(r_expect_emb, dtype=np.float64)
-    if r_cur_emb.shape != r_expect_emb.shape or r_cur_emb.ndim != 1:
-        raise DimensionError("incentive expects two equal-length vectors")
-    z = ad.mlp_apply(layers, ad.Tensor(np.concatenate([r_cur_emb, r_expect_emb])[None, :]))
-    return float(2.0 * ad.np_sigmoid(z.data[0, 0]))
-
-
-def personalized_score(sample: Sample, index: EmbeddingIndex, params: ModelParams) -> ScoreBreakdown:
-    """Full per-sample breakdown; undefined for the base-only variant."""
+def personalized_score(
+    samples: list[Sample], index: EmbeddingIndex, params: ModelParams
+) -> list[ScoreBreakdown]:
+    """One breakdown per sample, scored as batches exactly as score_dataset
+    scores them; undefined for the base-only variant."""
     if params.config.variant == "base-only":
         raise ValidationError("base-only variant has no fusion breakdown")
-    batch = _singleton(sample, index, params)
-    out = score_batch(params, batch)
-    return ScoreBreakdown(
-        rsl_out=out["rsl"].data[0].copy(),
-        base_out=out["base"].data[0].copy(),
-        fused=float(out["fused"].data[0]),
-        tau=float(out["tau"].data[0]),
-        final=float(out["final"].data[0]),
-    )
+    out = []
+    for _, scores in _score_chunks(params, samples, index, SCORE_BATCH):
+        parts = (scores[k].data for k in ("rsl", "base", "fused", "tau", "final"))
+        out.extend(
+            ScoreBreakdown(rsl, base, float(fused), float(tau), float(final))
+            for rsl, base, fused, tau, final in zip(*parts)
+        )
+    return out
 
 
 def sample_for_scoring(

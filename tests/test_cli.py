@@ -353,12 +353,13 @@ def test_sweep_repeated_value_identical_rows(pipe, tmp_path):
 
 
 def test_sweep_needs_two_values(pipe, tmp_path):
-    code = main(
-        ["sweep", "--param", "alpha", "--values", "4",
-         "--train-file", str(pipe["train"]), "--test-file", str(pipe["test"]),
-         "--index", str(pipe["index"]), "--out-dir", str(tmp_path / "o")]
-    )
-    assert code == 1
+    for n, values in enumerate(("4", "nan,4", "4,inf")):
+        code = main(
+            ["sweep", "--param", "alpha", "--values", values,
+             "--train-file", str(pipe["train"]), "--test-file", str(pipe["test"]),
+             "--index", str(pipe["index"]), "--out-dir", str(tmp_path / f"o{n}")]
+        )
+        assert code == 1, values
 
 
 # ---------------------------------------------------------------------------
@@ -516,3 +517,43 @@ def test_manifests_report_index_cache_misses(pipe, ranked_model, tmp_path):
          "--index", str(pipe["index"]), "--out-dir", str(ev_out)]
     ) == 0
     assert misses(ev_out) == 0
+
+
+# ---------------------------------------------------------------------------
+# wrong-kind checkpoints and non-finite rates
+
+
+def test_wrong_kind_checkpoint_exits_1(pipe, ranked_model, tmp_path, capsys):
+    query, user_file, cands, _ = write_rank_inputs(tmp_path, pipe)
+    model, encoder = str(ranked_model), str(pipe["encoder"])
+    rank = ["rank", "--index", str(pipe["index"]), "--query", query,
+            "--user-file", str(user_file), "--candidates-file", str(cands)]
+    cases = (
+        (rank + ["--checkpoint", model, "--encoder", model], model, "a model", "an encoder"),
+        (rank + ["--checkpoint", encoder], encoder, "an encoder", "a model"),
+        (["encoder", "finetune", "--checkpoint", model, "--train-file", str(pipe["train"])],
+         model, "a model", "an encoder"),
+        (["encoder", "build-index", "--checkpoint", model, "--dataset-file", str(pipe["test"])],
+         model, "a model", "an encoder"),
+        (["eval", "--checkpoint", f"full={encoder}", "--test-file", str(pipe["test"]),
+          "--index", str(pipe["index"])], encoder, "an encoder", "a model"),
+    )
+    for n, (argv, path, found, expected) in enumerate(cases):
+        capsys.readouterr()
+        assert main(argv + ["--out-dir", str(tmp_path / f"o{n}")]) == 1, argv
+        err = capsys.readouterr().err
+        assert f"{path} is {found} checkpoint; expected {expected} checkpoint" in err, err
+
+
+def test_train_rejects_non_finite_learning_rate(pipe, tmp_path, capsys):
+    assert run_train(pipe, tmp_path / "flag", ["--lr-base", "nan"]) == 1
+    assert "lr_base" in capsys.readouterr().err
+    assert not (tmp_path / "flag" / "model.ckpt").exists()
+
+    config = tmp_path / "run.cfg"
+    config.write_text("lr_base=inf\n", encoding="utf-8")
+    args = ["train", "--train-file", str(pipe["train"]), "--index", str(pipe["index"]),
+            "--out-dir", str(tmp_path / "file"), "--config", str(config), "--d", "16"]
+    assert main(args) == 1
+    assert "lr_base" in capsys.readouterr().err
+    assert not (tmp_path / "file" / "model.ckpt").exists()

@@ -114,3 +114,19 @@ def test_empty_tuple_value(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("rsl_hidden=\n", encoding="utf-8")
     assert cf.parse_config_file(path) == {"rsl_hidden": ()}
+
+
+def test_non_finite_floats_rejected(tmp_path):
+    float_keys = [k for k, v in cf.DEFAULTS.items() if isinstance(v, float)]
+    assert "lr_base" in float_keys and "alpha" in float_keys
+    path = tmp_path / "run.cfg"
+    for key in float_keys:
+        for raw in ("nan", "inf", "-inf"):
+            path.write_text(f"{key}={raw}\n", encoding="utf-8")
+            with pytest.raises(ValidationError, match=key):
+                cf.resolve_config(path)
+            with pytest.raises(ValidationError, match=key):
+                cf.resolve_config(overrides={key: float(raw)})
+    path.write_text("rsl_thresholds=0.25,nan,0.75\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match="rsl_thresholds"):
+        cf.resolve_config(path)

@@ -225,19 +225,35 @@ def test_base_hand_trace_single_layer():
     assert np.abs(got - expect).max() < 1e-12
 
 
-def test_fuse_examples():
-    assert md.fuse(np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.0, 0.0, 1.0, 0.0])) == pytest.approx(0.3)
-    T = np.array([0.7, 0.1, 0.1, 0.1])
-    assert md.fuse(np.array([0.6, 0.6, 0.6, 0.6]), T) == pytest.approx(0.6)
-    assert md.fuse(np.array([0.0, 0.0, 0.0, 1.0]), np.full(4, 0.25)) == pytest.approx(0.25)
-    with pytest.raises(DimensionError):
-        md.fuse(np.ones(3), np.full(4, 0.25))
+def _set_outputs(params, g, T):
+    """Constant base heads g and relevance distribution T for every row."""
+    zero_layers(params.base_layers)
+    params.base_layers[-1].b.data[...] = np.log(g) - np.log1p(-g)
+    zero_layers(params.rsl_layers)
+    params.rsl_layers[-1].b.data[...] = np.log(np.maximum(T, 1e-300))
 
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        g = rng.uniform(1e-6, 1 - 1e-6, size=4)
-        t = rng.dirichlet(np.ones(4))
-        assert 0.0 < md.fuse(g, t) < 1.0
+
+def test_fuse_examples():
+    # fused is the total click probability: sum_i P(click|level i) * P(level i)
+    samples = make_samples(6)
+    cfg = tiny_config()
+    params = md.build_model(cfg)
+    batch = md.build_batch(samples, make_index(samples, cfg.d), cfg)
+    examples = (
+        ([0.1, 0.2, 0.3, 0.4], [0.0, 0.0, 1.0, 0.0], 0.3),
+        ([0.6, 0.6, 0.6, 0.6], [0.7, 0.1, 0.1, 0.1], 0.6),
+        ([0.2, 0.4, 0.6, 0.8], [0.25, 0.25, 0.25, 0.25], 0.5),
+    )
+    for g, T, expect in examples:
+        _set_outputs(params, np.array(g), np.array(T))
+        fused = md.score_batch(params, batch)["fused"].data
+        assert fused == pytest.approx(np.full(len(samples), expect))
+
+    for seed in range(20):
+        out = md.score_batch(md.build_model(tiny_config(seed=seed)), batch)
+        base, rsl, fused = out["base"].data, out["rsl"].data, out["fused"].data
+        assert np.abs(fused - (base * rsl).sum(axis=-1)).max() < 1e-12
+        assert np.all((fused > 0.0) & (fused < 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -245,20 +261,22 @@ def test_fuse_examples():
 
 
 def test_extract_history_preferences():
+    # a cache over indexed histories embeds every entry without a miss
     samples = make_samples(6)
     idx = make_index(samples, 8)
-    assert md.extract_history_preferences([], idx) == ([], [])
-
-    hist = [h for s in samples for h in s.history][:2]
-    q_seq, r_seq = md.extract_history_preferences(hist, idx)
     misses_before = idx.cache_misses
-    assert len(q_seq) == len(r_seq) == len(hist)
-    assert np.array_equal(q_seq[0], idx.lookup_text(hist[0][0]))
-    assert np.array_equal(r_seq[0], idx.lookup_pair(*hist[0]))
+    batch = md.build_batch(samples, idx, tiny_config())
     assert idx.cache_misses == misses_before
 
-    with pytest.raises(ValidationError):
-        md.extract_history_preferences([("q", "i")] * 51, idx)
+    with_hist = [i for i, s in enumerate(samples) if s.history]
+    assert with_hist and list(batch.hist_rows) == with_hist
+    for j, i in enumerate(with_hist):
+        hist = samples[i].history
+        m = len(hist)
+        assert batch.hist_mask[j, :m].all() and not batch.hist_mask[j, m:].any()
+        assert np.array_equal(batch.hist_q_emb[j, :m], np.stack([idx.lookup_text(q) for q, _ in hist]))
+        assert np.array_equal(batch.hist_r_emb[j, :m], np.stack([idx.lookup_pair(q, it) for q, it in hist]))
+    assert idx.cache_misses == misses_before
 
 
 def _attn(d, seed=4, head_count=1, identity=False):
@@ -267,13 +285,23 @@ def _attn(d, seed=4, head_count=1, identity=False):
     return md.AttentionParams(mk("attn.w_q"), mk("attn.w_k"), mk("attn.w_v"), head_count)
 
 
+def _attend(attn, q_cur, qs, rs, pad=0):
+    """attention_expectation over a one-row batch holding history (qs, rs),
+    followed by `pad` masked slots of noise."""
+    d = q_cur.shape[0]
+    noise = np.random.default_rng(99).normal(size=(2, pad, d))
+    hist_q = np.concatenate([np.reshape(qs, (-1, d)), noise[0]])[None]
+    hist_r = np.concatenate([np.reshape(rs, (-1, d)), noise[1]])[None]
+    mask = np.arange(len(qs) + pad)[None] < len(qs)
+    return md.attention_expectation(attn, q_cur[None], hist_q, hist_r, mask).data[0]
+
+
 def test_attention_single_entry_exact():
     d = 8
     attn = _attn(d)
     rng = np.random.default_rng(7)
     q_cur, q1, r1 = rng.normal(size=(3, d))
-    ctx = md.PreferenceContext(q_cur, [q1], [r1], r1)
-    out = md.current_preference(ctx, attn)
+    out = _attend(attn, q_cur, [q1], [r1])
     assert np.array_equal(out, r1 @ attn.w_v.data)
 
 
@@ -284,8 +312,7 @@ def test_attention_identical_keys_mean():
     q_cur = rng.normal(size=d)
     q1 = rng.normal(size=d)
     rs = [rng.normal(size=d) for _ in range(4)]
-    ctx = md.PreferenceContext(q_cur, [q1] * 4, rs, rs[0])
-    out = md.current_preference(ctx, attn)
+    out = _attend(attn, q_cur, [q1] * 4, rs)
     expect = np.stack([r @ attn.w_v.data for r in rs]).mean(axis=0)
     assert np.abs(out - expect).max() < 1e-12
 
@@ -303,8 +330,9 @@ def test_attention_hand_trace_two_entries():
     w = np.exp(z - z.max())
     w = w / w.sum()
     expect = w[0] * r1 + w[1] * r2
-    got = md.current_preference(md.PreferenceContext(q_cur, [k1, k2], [r1, r2], r1), attn)
-    assert np.abs(got - expect).max() < 1e-12
+    for pad in (0, 3):
+        got = _attend(attn, q_cur, [k1, k2], [r1, r2], pad=pad)
+        assert np.abs(got - expect).max() < 1e-12
 
 
 def test_attention_output_in_hull_of_projected_values():
@@ -314,7 +342,7 @@ def test_attention_output_in_hull_of_projected_values():
     q_cur = rng.normal(size=d)
     qs = [rng.normal(size=d) for _ in range(5)]
     rs = [rng.normal(size=d) for _ in range(5)]
-    out = md.current_preference(md.PreferenceContext(q_cur, qs, rs, rs[0]), attn)
+    out = _attend(attn, q_cur, qs, rs, pad=2)
     projected = np.stack([r @ attn.w_v.data for r in rs])
     for _ in range(25):
         direction = rng.normal(size=d)
@@ -329,11 +357,9 @@ def test_attention_permutation_equivariance():
     q_cur = rng.normal(size=d)
     qs = [rng.normal(size=d) for _ in range(6)]
     rs = [rng.normal(size=d) for _ in range(6)]
-    base = md.current_preference(md.PreferenceContext(q_cur, qs, rs, rs[0]), attn)
+    base = _attend(attn, q_cur, qs, rs)
     perm = rng.permutation(6)
-    shuffled = md.current_preference(
-        md.PreferenceContext(q_cur, [qs[i] for i in perm], [rs[i] for i in perm], rs[0]), attn
-    )
+    shuffled = _attend(attn, q_cur, [qs[i] for i in perm], [rs[i] for i in perm])
     assert np.abs(base - shuffled).max() < 1e-12
 
 
@@ -344,33 +370,34 @@ def test_attention_multi_head_shapes_and_bounds():
     q_cur = rng.normal(size=d)
     qs = [rng.normal(size=d) for _ in range(3)]
     rs = [rng.normal(size=d) for _ in range(3)]
-    out = md.current_preference(md.PreferenceContext(q_cur, qs, rs, rs[0]), attn)
+    out = _attend(attn, q_cur, qs, rs, pad=1)
     assert out.shape == (d,)
     assert np.all(np.isfinite(out))
 
 
 def test_attention_rejects_empty_history():
+    # cold-start rows never reach attention (prim_tau_batch gives them tau=1)
     attn = _attn(4)
-    ctx = md.PreferenceContext(np.zeros(4), [], [], np.zeros(4))
-    with pytest.raises(ValidationError):
-        md.current_preference(ctx, attn)
+    q_cur = np.zeros(4)
+    for pad in (0, 2):
+        with pytest.raises(ValidationError):
+            _attend(attn, q_cur, np.zeros((0, 4)), np.zeros((0, 4)), pad=pad)
 
 
 def test_incentive_neutral_and_range():
+    samples = make_samples(30)
     cfg = tiny_config()
+    batch = md.build_batch(samples, make_index(samples, cfg.d), cfg)
+    assert 0 < batch.hist_rows.size < len(samples)
     params = md.build_model(cfg)
     zero_layers(params.incentive_layers)
-    rng = np.random.default_rng(16)
-    r_cur, r_expect = rng.normal(size=(2, cfg.d))
-    assert md.incentive(r_cur, r_expect, params.incentive_layers) == 1.0
+    assert np.all(md.prim_tau_batch(params, batch).data == 1.0)
 
-    params2 = md.build_model(tiny_config(seed=77))
-    for _ in range(100):
-        a, b = rng.normal(size=(2, cfg.d))
-        tau = md.incentive(a, b, params2.incentive_layers)
-        assert 0.0 < tau < 2.0
-    with pytest.raises(DimensionError):
-        md.incentive(np.zeros(3), np.zeros(4), params.incentive_layers)
+    for seed in range(20):
+        tau = md.prim_tau_batch(md.build_model(tiny_config(seed=seed)), batch).data
+        assert np.all((tau > 0.0) & (tau < 2.0))
+        cold = np.setdiff1d(np.arange(len(samples)), batch.hist_rows)
+        assert np.all(tau[cold] == 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +405,14 @@ def test_incentive_neutral_and_range():
 
 
 def test_cold_start_tau_exactly_one():
-    samples = [make_samples(1, with_history=False)[0]]
+    samples = make_samples(5, with_history=False)
     cfg = tiny_config()
     params = md.build_model(cfg)
-    bd = md.personalized_score(samples[0], make_index(samples, cfg.d), params)
-    assert bd.tau == 1.0
-    assert bd.final == bd.fused  # clamp inactive at interior values
+    bds = md.personalized_score(samples, make_index(samples, cfg.d), params)
+    assert len(bds) == len(samples)
+    for bd in bds:
+        assert bd.tau == 1.0
+        assert bd.final == bd.fused  # clamp inactive at interior values
 
 
 def test_breakdown_consistency_random():
@@ -391,8 +420,9 @@ def test_breakdown_consistency_random():
     cfg = tiny_config()
     params = md.build_model(cfg)
     idx = make_index(samples, cfg.d)
-    for s in samples:
-        bd = md.personalized_score(s, idx, params)
+    bds = md.personalized_score(samples, idx, params)
+    assert len(bds) == len(samples)
+    for bd in bds:
         assert abs(bd.fused - float(bd.base_out @ bd.rsl_out)) < 1e-12
         assert bd.final == float(np.clip(bd.tau * bd.fused, md.SCORE_EPS, 1 - md.SCORE_EPS))
         assert 0.0 < bd.fused < 1.0
@@ -412,7 +442,7 @@ def test_clamp_engages_at_ceiling():
         layer.b.data[...] = 0.0
     params.base_layers[-1].b.data[...] = 40.0
     params.incentive_layers[-1].b.data[...] = 40.0
-    bd = md.personalized_score(samples[0], idx, params)
+    [bd] = md.personalized_score(samples, idx, params)
     assert bd.final == 1.0 - 1e-7
     assert bd.tau > 1.99
 
@@ -434,7 +464,7 @@ def test_score_batch_no_prim_and_base_only():
     assert set(out2) == {"final"}
     assert np.all((out2["final"].data > 0) & (out2["final"].data < 1))
     with pytest.raises(ValidationError):
-        md.personalized_score(samples[0], idx, solo)
+        md.personalized_score(samples, idx, solo)
 
 
 def test_ranking_scale_invariance_pre_clamp():
@@ -442,7 +472,7 @@ def test_ranking_scale_invariance_pre_clamp():
     cfg = tiny_config()
     params = md.build_model(cfg)
     idx = make_index(samples, cfg.d)
-    bds = [md.personalized_score(s, idx, params) for s in samples]
+    bds = md.personalized_score(samples, idx, params)
     pre = np.array([b.tau * b.fused for b in bds])
     for c in (0.3, 2.5, 17.0):
         assert np.argmax(pre) == np.argmax(c * pre)
@@ -490,7 +520,7 @@ def test_breakdown_line_format():
     samples = make_samples(2)
     cfg = tiny_config()
     params = md.build_model(cfg)
-    bd = md.personalized_score(samples[0], make_index(samples, cfg.d), params)
+    bd = md.personalized_score(samples, make_index(samples, cfg.d), params)[0]
     line = bd.to_line()
     fields = line.split("\t")
     assert len(fields) == 5

@@ -1,0 +1,122 @@
+"""Guard for the benchmark's traced run: perfbench wraps named functions of
+the program (`perfbench/tracing.py` TARGETS) and builds its per-layer metrics
+from their spans, so a target that disappears, or that `rank` stops calling,
+silently drops a metric. `tracing.py` is loaded by path and only read; the
+instrumented run happens in a child process so no wrapper leaks into other
+tests."""
+
+import importlib
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from rankfuse import data as dt
+from rankfuse import model as md
+from rankfuse.cli import main
+from rankfuse.encoder import load_encoder, load_index
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """Corpus, encoder, index and full model, small enough to build in seconds."""
+    root = tmp_path_factory.mktemp("trace")
+    data, enc, idx, mdl = (root / n for n in ("data", "enc", "idx", "model"))
+    assert main(["gen-data", "--out-dir", str(data), "--n-impressions", "300", "--n-users", "12",
+                 "--n-items", "50", "--n-queries", "20", "--seed", "5"]) == 0
+    assert main(["encoder", "pretrain", "--train-file", str(data / "train.tsv"), "--out-dir", str(enc),
+                 "--d", "8", "--d-raw", "16", "--encoder-epochs", "1",
+                 "--encoder-batch-size", "128"]) == 0
+    assert main(["encoder", "build-index", "--checkpoint", str(enc / "encoder.ckpt"),
+                 "--out-dir", str(idx), "--dataset-file", str(data / "train.tsv")]) == 0
+    assert main(["train", "--train-file", str(data / "train.tsv"), "--index", str(idx / "index.tsv"),
+                 "--out-dir", str(mdl), "--d", "8", "--batch-size", "64", "--stage1-epochs", "1",
+                 "--stage2-epochs", "1"]) == 0
+    test = dt.read_dataset(data / "test.tsv")
+    query = test[0].query_text
+    history = next(s.history for s in test if s.history)
+    (root / "user.txt").write_text(
+        "user_id=3\n" + "".join(f"{q}^{i}\n" for q, i in history), encoding="utf-8")
+    cands = {s.item_id: s.item_text for s in test[:8]}
+    cands[9999] = "an item text no split holds"
+    (root / "cands.txt").write_text(
+        "".join(f"{i}\t{t}\n" for i, t in sorted(cands.items())), encoding="utf-8")
+    return {
+        "root": root, "test": test, "query": query, "history": history,
+        "candidates": sorted(cands.items()), "encoder": enc / "encoder.ckpt",
+        "index": idx / "index.tsv", "model": mdl / "model.ckpt",
+    }
+
+
+def test_every_target_resolves():
+    for module_name, attr, _ in load_tracing().TARGETS:
+        owner = importlib.import_module(f"rankfuse.{module_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), f"perfbench traces rankfuse.{module_name}.{attr}, which is gone"
+
+
+CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import rankfuse
+import importlib.util
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[2])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+absent = tracing.instrument(tracer)
+from rankfuse.cli import main
+with tracer.request(None):
+    rc = main(json.loads(sys.argv[3]))
+spans = [s[tracing.NAME] for s in tracer.spans]
+counts = {name: n for (_, name), n in tracer.counts.items()}
+print(json.dumps({"rc": rc, "absent": absent, "spans": spans, "counts": counts}))
+"""
+
+
+def test_rank_reaches_traced_calls(tiny, tmp_path):
+    argv = ["rank", "--checkpoint", str(tiny["model"]), "--index", str(tiny["index"]),
+            "--encoder", str(tiny["encoder"]), "--query", tiny["query"],
+            "--user-file", str(tiny["root"] / "user.txt"),
+            "--candidates-file", str(tiny["root"] / "cands.txt"),
+            "--out-dir", str(tmp_path / "rk"), "--explain"]
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(ROOT / "src"), str(TRACING), json.dumps(argv)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["rc"] == 0 and out["absent"] == []
+    # model.score_candidate_ms: one personalized_score span per request
+    assert out["spans"].count("model.personalized_score") == 1
+    assert out["spans"].count("model.sample_for_scoring") == len(tiny["candidates"])
+    assert out["spans"].count("encoder.encode_text") >= 1  # the unindexed candidate
+    # encoder.index_hit_ratio: lookups counted under the request
+    for name in ("encoder.EmbeddingIndex.lookup_text", "encoder.EmbeddingIndex.lookup_pair"):
+        assert out["counts"].get(name, 0) > 0, name
+
+
+def test_rank_scores_equal_score_dataset(tiny):
+    params, _ = md.load_model(tiny["model"])
+    index = load_index(tiny["index"])
+    index.attach_encoder(load_encoder(tiny["encoder"]))
+    request = [md.sample_for_scoring(3, tiny["query"], i, t, tiny["history"])
+               for i, t in tiny["candidates"]]
+    for samples in (request, tiny["test"]):
+        finals = np.array([bd.final for bd in md.personalized_score(samples, index, params)])
+        assert np.array_equal(finals, md.score_dataset(params, samples, index))
