@@ -462,6 +462,8 @@ def kl_divergence(p, q) -> Tensor:
         raise DimensionError("kl_divergence expects rank-1 distributions")
     if pd.shape != qd.shape:
         raise DimensionError(f"kl_divergence length mismatch: {pd.shape} vs {qd.shape}")
+    if not (np.isfinite(pd).all() and np.isfinite(qd).all()):
+        raise ValidationError("kl_divergence: non-finite probability mass")
     if (pd < 0).any() or (qd < 0).any():
         raise ValidationError("kl_divergence: negative probability mass")
     if abs(pd.sum() - 1.0) > 1e-6 or abs(qd.sum() - 1.0) > 1e-6:

@@ -406,21 +406,22 @@ def cmd_sweep(args) -> int:
 
 
 def _read_user_context(path) -> tuple[int, list[tuple[str, str]]]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("user_id="):
-        raise DatasetParseError(1, "expected first line user_id=<int>")
-    try:
-        user_id = int(lines[0][len("user_id="):])
-    except ValueError:
-        raise DatasetParseError(1, f"bad user id: {lines[0]!r}") from None
-    history = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split("^")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise DatasetParseError(line_no, "history line must be <query>^<item>")
-        history.append((parts[0], parts[1]))
+    with dt.open_text(path) as fh:
+        lines = fh.read().splitlines()
+        if not lines or not lines[0].startswith("user_id="):
+            raise DatasetParseError(1, "expected first line user_id=<int>")
+        try:
+            user_id = int(lines[0][len("user_id="):])
+        except ValueError:
+            raise DatasetParseError(1, f"bad user id: {lines[0]!r}") from None
+        history = []
+        for line_no, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            parts = line.split("^")
+            if len(parts) != 2 or not parts[0] or not parts[1]:
+                raise DatasetParseError(line_no, "history line must be <query>^<item>")
+            history.append((parts[0], parts[1]))
     if len(history) > dt.HISTORY_LIMIT:
         raise ValidationError(f"history exceeds {dt.HISTORY_LIMIT} entries")
     return user_id, history
@@ -428,16 +429,17 @@ def _read_user_context(path) -> tuple[int, list[tuple[str, str]]]:
 
 def _read_candidates(path) -> list[tuple[int, str]]:
     out = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[1]:
-            raise DatasetParseError(line_no, "candidate line must be <item_id>\\t<item_text>")
-        try:
-            out.append((int(parts[0]), parts[1]))
-        except ValueError:
-            raise DatasetParseError(line_no, f"bad item id: {parts[0]!r}") from None
+    with dt.open_text(path) as fh:
+        for line_no, line in enumerate(fh.read().splitlines(), start=1):
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2 or not parts[1]:
+                raise DatasetParseError(line_no, "candidate line must be <item_id>\\t<item_text>")
+            try:
+                out.append((int(parts[0]), parts[1]))
+            except ValueError:
+                raise DatasetParseError(line_no, f"bad item id: {parts[0]!r}") from None
     if not out:
         raise ValidationError("candidates file has no candidates")
     return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .data import HISTORY_LIMIT, GeneratorConfig
+from .data import HISTORY_LIMIT, GeneratorConfig, open_text
 from .encoder import EncoderConfig
 from .errors import ValidationError
 from .model import ModelConfig
@@ -116,7 +116,8 @@ def _fmt_value(value) -> str:
 def parse_config_file(path) -> dict:
     """Read key=value overrides; `#` starts a comment, blank lines ignored."""
     out: dict = {}
-    text = Path(path).read_text(encoding="utf-8")
+    with open_text(path) as fh:
+        text = fh.read()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -10,6 +10,7 @@ manifest that the model-visible dataset never contains.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -331,6 +332,22 @@ def check_text(text: str, what: str) -> str:
     return text
 
 
+@contextmanager
+def open_text(path):
+    """Open a UTF-8 text file for reading. Inside the block, bytes that are
+    not UTF-8, and every DatasetParseError raised without a path, become a
+    DatasetParseError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as e:
+        raise DatasetParseError(None, f"not UTF-8 text ({e.reason})", path=path) from None
+    except DatasetParseError as e:
+        if e.path is not None:
+            raise
+        raise DatasetParseError(e.line_no, e.detail, path=path) from None
+
+
 def _format_history(history: list[tuple[str, str]]) -> str:
     parts = []
     for q, i in history:
@@ -374,7 +391,7 @@ def _parse_int(text: str, what: str, line_no: int, allowed=None) -> int:
 def read_dataset(path: str) -> list[Sample]:
     """Inverse of write_dataset; truth fields come back as None."""
     samples = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().rstrip("\n")
         if header.split("\t") != list(DATASET_COLUMNS):
             raise DatasetParseError(1, "bad dataset header")
@@ -431,7 +448,7 @@ def write_sidecar(samples: list[Sample], path: str) -> None:
 
 def read_sidecar(path: str) -> list[GroundTruth]:
     truths = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().rstrip("\n")
         if header.split("\t") != list(SIDECAR_COLUMNS):
             raise DatasetParseError(1, "bad sidecar header")

@@ -7,11 +7,16 @@ pretrained on click/no-click pairs (clicked treated as relevant), fine-tuned
 on 4-level relevance labels at a reduced learning rate, then frozen. Ranking
 code never calls the encoder at training time; it reads the precomputed
 index, falling back to an on-the-fly encode (counted) only on cache misses.
+The misses of a request are encoded in one sorted batch through the chunk
+loop build_index uses, and a row's vector does not depend on the rows it is
+batched with, so each fallback vector equals the one build_index stores.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -64,8 +69,10 @@ class EncoderConfig:
     def __post_init__(self):
         if self.vocab_size < 1 or self.d_raw < 1 or self.d < 1:
             raise ValidationError("vocab_size, d_raw and d must be positive")
-        if self.finetune_lr_factor < 0:
-            raise ValidationError("finetune_lr_factor must be >= 0")
+        # `not (range test)`, so that NaN, which fails every comparison, is refused
+        for name in ("lr", "finetune_lr_factor"):
+            if not (0 <= getattr(self, name) < math.inf):
+                raise ValidationError(f"{name} must be >= 0 and finite")
 
 
 @dataclass
@@ -152,19 +159,33 @@ def encode_bags(params: EncoderParams, flat_ids: np.ndarray, offsets: np.ndarray
 
 
 def _encode_id_lists(params: EncoderParams, id_lists: list[list[int]]) -> np.ndarray:
+    if len(id_lists) == 1:
+        # numpy sends a one-row `@` to BLAS GEMV, which rounds differently from
+        # the GEMM a batch takes; two copies of the row go through GEMM, so the
+        # vector is bit-equal to the one the row gets inside any larger batch
+        return _encode_id_lists(params, id_lists * 2)[:1]
     flat = np.array([i for ids in id_lists for i in ids], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum([len(ids) for ids in id_lists])]).astype(np.int64)
     return encode_bags(params, flat, offsets).data
 
 
-def encode_text(params: EncoderParams, text: str) -> np.ndarray:
-    """Unit-length embedding of a bare text; empty text pools the CLS row."""
-    return _encode_id_lists(params, [_text_ids(params, text)])[0]
+def _refuse_bare_str(keys, what: str):
+    if isinstance(keys, str):
+        raise ValidationError(f"{what} takes a sequence of keys, not one str: {keys!r}")
 
 
-def encode_pair(params: EncoderParams, query: str, item: str) -> np.ndarray:
-    """Unit-length relevance embedding of [CLS] query [SEP] item [SEP]."""
-    return _encode_id_lists(params, [_pair_ids(params, query, item)])[0]
+def encode_text(params: EncoderParams, texts: Sequence[str]) -> np.ndarray:
+    """Unit-length embeddings [n, d] of bare texts; empty text pools the CLS row.
+    A row's vector does not depend on the other rows of the batch."""
+    _refuse_bare_str(texts, "encode_text")
+    return _encode_id_lists(params, [_text_ids(params, t) for t in texts])
+
+
+def encode_pair(params: EncoderParams, pairs: Sequence[tuple[str, str]]) -> np.ndarray:
+    """Unit-length relevance embeddings [n, d] of [CLS] query [SEP] item [SEP]
+    for (query, item) pairs. A row's vector does not depend on the other rows."""
+    _refuse_bare_str(pairs, "encode_pair")
+    return _encode_id_lists(params, [_pair_ids(params, q, i) for q, i in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -285,28 +306,48 @@ class EmbeddingIndex:
     def attach_encoder(self, params: EncoderParams):
         self._encoder = params
 
-    def lookup_text(self, text: str) -> np.ndarray:
-        hit = self.text.get(text)
-        if hit is not None:
-            return hit
+    def encode_missing(self, texts: Iterable[str], pairs: Iterable[tuple[str, str]]) -> None:
+        """Encode every text and (query, item) pair not yet stored, in sorted
+        order through build_index's own chunk loop, so each gets the vector a
+        full build_index would store; each counts as one cache miss. Without
+        an encoder this does nothing, and the lookup of a missing key raises."""
         if self._encoder is None:
-            raise EmbeddingLookupError(f"text not indexed and no encoder attached: {text!r}")
-        self.cache_misses += 1
-        vec = encode_text(self._encoder, text)
-        self.text[text] = vec
-        return vec
+            return
+        new_texts = sorted({t for t in texts if t not in self.text})
+        new_pairs = sorted({(q, i) for q, i in pairs if pair_key(q, i) not in self.pair})
+        _encode_into(self, self._encoder, new_texts, new_pairs)
+        self.cache_misses += len(new_texts) + len(new_pairs)
+
+    def lookup_text(self, text: str) -> np.ndarray:
+        if text not in self.text:
+            if self._encoder is None:
+                raise EmbeddingLookupError(f"text not indexed and no encoder attached: {text!r}")
+            self.encode_missing([text], [])
+        return self.text[text]
 
     def lookup_pair(self, query: str, item: str) -> np.ndarray:
         key = pair_key(query, item)
-        hit = self.pair.get(key)
-        if hit is not None:
-            return hit
-        if self._encoder is None:
-            raise EmbeddingLookupError(f"pair not indexed and no encoder attached: {key!r}")
-        self.cache_misses += 1
-        vec = encode_pair(self._encoder, query, item)
-        self.pair[key] = vec
-        return vec
+        if key not in self.pair:
+            if self._encoder is None:
+                raise EmbeddingLookupError(f"pair not indexed and no encoder attached: {key!r}")
+            self.encode_missing([], [(query, item)])
+        return self.pair[key]
+
+
+INDEX_BATCH = 1024  # rows per encode call when filling an index
+
+
+def _encode_into(index: EmbeddingIndex, params: EncoderParams, texts: list[str],
+                 pairs: list[tuple[str, str]], batch_size: int = INDEX_BATCH):
+    """Store the vectors of sorted, distinct texts and pairs, encoded in chunks
+    of batch_size: the one fill path of build_index and encode_missing."""
+    for lo in range(0, len(texts), batch_size):
+        chunk = texts[lo : lo + batch_size]
+        index.text.update(zip(chunk, encode_text(params, chunk)))
+    for lo in range(0, len(pairs), batch_size):
+        chunk = pairs[lo : lo + batch_size]
+        keys = [pair_key(q, i) for q, i in chunk]
+        index.pair.update(zip(keys, encode_pair(params, chunk)))
 
 
 def build_index(
@@ -314,22 +355,11 @@ def build_index(
     texts: list[str],
     pairs: list[tuple[str, str]],
     checkpoint_id: str,
-    batch_size: int = 1024,
+    batch_size: int = INDEX_BATCH,
 ) -> EmbeddingIndex:
     """Encode every distinct text and pair once. Deterministic for fixed inputs."""
     index = EmbeddingIndex(dim=params.config.d, checkpoint_id=checkpoint_id)
-    uniq_texts = sorted(set(texts))
-    uniq_pairs = sorted(set(pairs))
-    for lo in range(0, len(uniq_texts), batch_size):
-        chunk = uniq_texts[lo : lo + batch_size]
-        vecs = _encode_id_lists(params, [_text_ids(params, t) for t in chunk])
-        for t, v in zip(chunk, vecs):
-            index.text[t] = v
-    for lo in range(0, len(uniq_pairs), batch_size):
-        chunk = uniq_pairs[lo : lo + batch_size]
-        vecs = _encode_id_lists(params, [_pair_ids(params, q, i) for q, i in chunk])
-        for (q, i), v in zip(chunk, vecs):
-            index.pair[pair_key(q, i)] = v
+    _encode_into(index, params, sorted(set(texts)), sorted(set(pairs)), batch_size)
     return index
 
 

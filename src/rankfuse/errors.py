@@ -22,11 +22,16 @@ class DimensionError(ValidationError):
 
 class DatasetParseError(ValidationError):
     """Malformed dataset, sidecar, index or checkpoint. Carries the 1-based
-    line number of a text file, or None for a binary one."""
+    line number of a text file, or None for a binary one, and the file's
+    path when the raiser gives it."""
 
-    def __init__(self, line_no: int | None, message: str):
-        super().__init__(message if line_no is None else f"line {line_no}: {message}")
+    def __init__(self, line_no: int | None, message: str, path=None):
+        prefix = "" if path is None else f"{path}: "
+        where = "" if line_no is None else f"line {line_no}: "
+        super().__init__(prefix + where + message)
         self.line_no = line_no
+        self.detail = message
+        self.path = path
 
 
 class DependencyError(ValidationError):

@@ -306,7 +306,8 @@ class TrainingCache:
 
     Unique texts and pairs are looked up once (sorted order, so encoder
     fallbacks are deterministic); per-sample rows then index into the two
-    embedding matrices. Histories are stored ragged and padded per batch.
+    embedding matrices. Each distinct history is stored once, ragged, and
+    padded per batch.
     """
 
     def __init__(self, samples: list[Sample], index: EmbeddingIndex, config: ModelConfig):
@@ -317,17 +318,23 @@ class TrainingCache:
         self.config = config
         self.n = len(samples)
 
+        # rows share a history by value, so each distinct one is walked once
+        hist_id: dict[tuple, int] = {}
+        self.hist_of = np.array(
+            [hist_id.setdefault(tuple(s.history), len(hist_id)) for s in samples], dtype=np.int64
+        )
         texts: set[str] = set()
         pairs: set[tuple[str, str]] = set()
         for s in samples:
             texts.add(s.query_text)
             texts.add(s.item_text)
             pairs.add((s.query_text, s.item_text))
-            for q, i in s.history:
-                texts.add(q)
-                pairs.add((q, i))
+        for history in hist_id:
+            texts.update(q for q, _ in history)
+            pairs.update(history)
         text_list = sorted(texts)
         pair_list = sorted(pairs)
+        index.encode_missing(text_list, pair_list)
         self.text_row = {t: i for i, t in enumerate(text_list)}
         self.pair_row = {p: i for i, p in enumerate(pair_list)}
         self.text_mat = np.stack([index.lookup_text(t) for t in text_list])
@@ -357,27 +364,25 @@ class TrainingCache:
             [group_id[(s.user_id, s.query_text)] for s in samples], dtype=np.int64
         )
 
-        hq: list[int] = []
-        hr: list[int] = []
-        self.hist_off = np.zeros(self.n + 1, dtype=np.int64)
-        for i, s in enumerate(samples):
-            for q, it in s.history:
-                hq.append(self.text_row[q])
-                hr.append(self.pair_row[(q, it)])
-            self.hist_off[i + 1] = len(hq)
-        self.hist_q_rows = np.array(hq, dtype=np.int64)
-        self.hist_r_rows = np.array(hr, dtype=np.int64)
+        # distinct histories as CSR: history h spans hist_off[h]:hist_off[h + 1]
+        self.hist_off = np.zeros(len(hist_id) + 1, dtype=np.int64)
+        np.cumsum([len(h) for h in hist_id], out=self.hist_off[1:])
+        self.hist_q_rows = np.array(
+            [self.text_row[q] for h in hist_id for q, _ in h], dtype=np.int64
+        )
+        self.hist_r_rows = np.array([self.pair_row[p] for h in hist_id for p in h], dtype=np.int64)
 
     def batch(self, rows: np.ndarray) -> Batch:
         rows = np.asarray(rows, dtype=np.int64)
         qtok_flat, qtok_off = _flatten_bags(self.qtok, rows)
         itok_flat, itok_off = _flatten_bags(self.itok, rows)
 
-        lens = self.hist_off[rows + 1] - self.hist_off[rows]
+        hist = self.hist_of[rows]
+        lens = self.hist_off[hist + 1] - self.hist_off[hist]
         hist_rows = np.nonzero(lens > 0)[0].astype(np.int64)
         if hist_rows.size:
             width = int(lens.max())
-            sub = rows[hist_rows]
+            sub = hist[hist_rows]
             flat_q = np.concatenate(
                 [self.hist_q_rows[self.hist_off[r] : self.hist_off[r + 1]] for r in sub]
             )

@@ -16,6 +16,7 @@ disabled regularizer run byte-identical code paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,12 +48,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 2:
             raise ValidationError("batch_size must be at least 2")
+        # `not (range test)`, so that NaN, which fails every comparison, is refused
         for name in ("lr_stage1", "lr_base", "lr_rsl_finetune", "lr_prim"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
+            if not (0 < getattr(self, name) < math.inf):
+                raise ValidationError(f"{name} must be positive and finite")
         for name in ("alpha", "beta", "gamma"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be nonnegative")
+            if not (0 <= getattr(self, name) < math.inf):
+                raise ValidationError(f"{name} must be nonnegative and finite")
         if self.stage1_epochs < 0 or self.stage2_epochs < 0:
             raise ValidationError("epoch counts must be nonnegative")
         if self.grouping not in GROUPINGS:
@@ -166,6 +168,11 @@ def total_risk(batch, params: ModelParams, config: TrainConfig, *, stage="stage2
     if config.gamma == 0.0:
         loss = risk
         reg_val = 0.0
+    elif not np.isfinite(out["final"].data).all():
+        # kl_divergence refuses non-finite scores; a NaN regularizer keeps the
+        # loss NaN, so the caller's finite check aborts with the batch's context
+        loss = ad.mul(risk, np.nan)
+        reg_val = np.nan
     else:
         labels = listwise_labels(batch.y, batch.rsl, config.alpha, config.beta)
         keys = batch.group_keys if config.grouping == "query-group" else None

@@ -157,6 +157,12 @@ def test_kl_errors():
         ad.kl_divergence(ad.Tensor([1.0, 0.0]), ad.Tensor([0.5, 0.25, 0.25]))
     with pytest.raises(ValidationError):
         ad.kl_divergence(ad.Tensor([0.9, 0.2]), ad.Tensor([0.5, 0.5]))
+    # NaN fails every comparison, so it must not pass as an empty support (KL 0)
+    for bad in ([np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]):
+        with pytest.raises(ValidationError):
+            ad.kl_divergence(ad.Tensor(bad), ad.Tensor([0.5, 0.5]))
+        with pytest.raises(ValidationError):
+            ad.kl_divergence(ad.Tensor([0.5, 0.5]), ad.Tensor(bad))
 
 
 def test_affine_identity():

@@ -557,3 +557,47 @@ def test_train_rejects_non_finite_learning_rate(pipe, tmp_path, capsys):
     assert main(args) == 1
     assert "lr_base" in capsys.readouterr().err
     assert not (tmp_path / "file" / "model.ckpt").exists()
+
+
+def test_non_utf8_text_files_exit_1(pipe, ranked_model, tmp_path, capsys):
+    query, user_file, cands, _ = write_rank_inputs(tmp_path, pipe)
+    bad_user = tmp_path / "user-latin1.txt"
+    bad_user.write_bytes("user_id=4\ncafé^hat\n".encode("latin-1"))
+    bad_cands = tmp_path / "cands-latin1.txt"
+    bad_cands.write_bytes("1\tcafé hat\n".encode("latin-1"))
+    bad_train = tmp_path / "train-latin1.tsv"
+    bad_train.write_bytes(pipe["train"].read_bytes() + "1\tcafé\n".encode("latin-1"))
+    bad_config = tmp_path / "latin1.cfg"
+    bad_config.write_bytes("seed=3  # café\n".encode("latin-1"))
+    rank = ["rank", "--checkpoint", str(ranked_model), "--index", str(pipe["index"]),
+            "--query", query]
+    cases = (
+        (rank + ["--user-file", str(bad_user), "--candidates-file", str(cands)], bad_user),
+        (rank + ["--user-file", str(user_file), "--candidates-file", str(bad_cands)], bad_cands),
+        (["train", "--train-file", str(bad_train), "--index", str(pipe["index"])] + TRAIN_FLAGS,
+         bad_train),
+        (rank + ["--user-file", str(user_file), "--candidates-file", str(cands),
+                 "--config", str(bad_config)], bad_config),
+    )
+    for n, (argv, path) in enumerate(cases):
+        capsys.readouterr()
+        assert main(argv + ["--out-dir", str(tmp_path / f"o{n}")]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and "UTF-8" in err, err
+
+
+def test_rank_parse_errors_name_the_file(pipe, ranked_model, tmp_path, capsys):
+    query, user_file, cands, _ = write_rank_inputs(tmp_path, pipe)
+    bad_user = tmp_path / "who.txt"
+    bad_user.write_text("who=4\n", encoding="utf-8")
+    bad_cands = tmp_path / "noid.txt"
+    bad_cands.write_text("1\tgood item\nx\tbad id\n", encoding="utf-8")
+    rank = ["rank", "--checkpoint", str(ranked_model), "--index", str(pipe["index"]),
+            "--query", query]
+    for n, (files, path, where) in enumerate((
+        (["--user-file", str(bad_user), "--candidates-file", str(cands)], bad_user, "line 1"),
+        (["--user-file", str(user_file), "--candidates-file", str(bad_cands)], bad_cands, "line 2"),
+    )):
+        capsys.readouterr()
+        assert main(rank + files + ["--out-dir", str(tmp_path / f"o{n}")]) == 1
+        assert f"error: {path}: {where}: " in capsys.readouterr().err

@@ -200,12 +200,13 @@ def test_malformed_line_reports_number(tmp_path):
     with pytest.raises(DatasetParseError) as err:
         dt.read_dataset(str(path))
     assert err.value.line_no == len(samples) + 2
+    assert str(err.value).startswith(f"{path}: line {len(samples) + 2}: ")
 
     bad = tmp_path / "bad.tsv"
     bad.write_text("wrong header\n")
     with pytest.raises(DatasetParseError) as err:
         dt.read_dataset(str(bad))
-    assert err.value.line_no == 1
+    assert err.value.line_no == 1 and err.value.path == str(bad)
 
 
 def test_bad_field_values_rejected(tmp_path):
@@ -257,6 +258,24 @@ def test_sidecar_roundtrip_exact(tmp_path):
     assert [s.truth for s in stripped] == truths
     with pytest.raises(ValidationError):
         dt.attach_sidecar(stripped[:-1], truths)
+
+
+def test_text_readers_refuse_non_utf8_naming_the_file(tmp_path):
+    samples, _ = small_corpus(n_impressions=5)
+    for name, write, read in (("data.tsv", dt.write_dataset, dt.read_dataset),
+                              ("truth.tsv", dt.write_sidecar, dt.read_sidecar)):
+        path = tmp_path / name
+        write(samples, str(path))
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        with pytest.raises(DatasetParseError) as err:
+            read(str(path))
+        assert str(path) in str(err.value) and "UTF-8" in str(err.value)
+
+        path.write_text("wrong header\n")
+        with pytest.raises(DatasetParseError) as err:
+            read(str(path))
+        assert str(err.value).startswith(f"{path}: line 1: ")
 
 
 def test_sidecar_requires_truth(tmp_path):

@@ -41,6 +41,14 @@ def _toy_click_pairs(rng, n):
     return pairs
 
 
+def test_encoder_config_rejects_non_finite_rates():
+    for name in ("lr", "finetune_lr_factor"):
+        for bad in (float("nan"), float("inf"), -0.5):
+            with pytest.raises(ValidationError, match=name):
+                small_config(**{name: bad})
+    small_config(finetune_lr_factor=0.0)  # a zero factor still means "no finetune"
+
+
 def test_tokenize_is_lowercase_whitespace():
     assert enc.tokenize("Red  Shoe\tbox") == ["red", "shoe", "box"]
     assert enc.tokenize("") == []
@@ -55,15 +63,15 @@ def test_token_id_stable_and_in_range():
 def test_encode_text_unit_norm_and_deterministic():
     params = enc.init_encoder(small_config())
     for text in ["red shoe", "", "one", "a b c d e f g"]:
-        v = enc.encode_text(params, text)
+        v = enc.encode_text(params, [text])[0]
         assert abs(np.linalg.norm(v) - 1.0) < 1e-9
-        w = enc.encode_text(params, text)
+        w = enc.encode_text(params, [text])[0]
         assert (v == w).all()
 
 
 def test_empty_text_uses_sentinel_row():
     params = enc.init_encoder(small_config())
-    v_empty = enc.encode_text(params, "")
+    v_empty = enc.encode_text(params, [""])[0]
     # pooling the CLS row alone: same as pushing that single row through the MLP
     pooled = params.token_table.data[params.cls_id][None, :]
     ref = ad.l2_normalize(ad.mlp_apply(params.reduce, ad.Tensor(pooled))).data[0]
@@ -72,12 +80,36 @@ def test_empty_text_uses_sentinel_row():
 
 def test_encode_pair_unit_norm_and_structure():
     params = enc.init_encoder(small_config())
-    v = enc.encode_pair(params, "red shoe", "red shoe box")
+    v = enc.encode_pair(params, [("red shoe", "red shoe box")])[0]
     assert abs(np.linalg.norm(v) - 1.0) < 1e-9
     # the pair encoding sees CLS/SEP markers, so it differs from encoding
     # the concatenated text directly
-    w = enc.encode_text(params, "red shoe red shoe box")
+    w = enc.encode_text(params, ["red shoe red shoe box"])[0]
     assert not np.allclose(v, w)
+
+
+def test_encode_refuses_a_bare_str():
+    # a str is a sequence of one-character texts; taking it as one would
+    # encode "red shoe" letter by letter
+    params = enc.init_encoder(small_config())
+    with pytest.raises(ValidationError):
+        enc.encode_text(params, "red shoe")
+    with pytest.raises(ValidationError):
+        enc.encode_pair(params, "red shoe")
+
+
+def test_encode_rows_do_not_depend_on_batch():
+    # one row, a padded pair of rows and a 37-row batch give the same bits
+    params = enc.init_encoder(small_config())
+    texts = [" ".join(WORDS[k : k + 1 + k % 4]) for k in range(37)] + [""]
+    pairs = [(texts[k], texts[-2 - k]) for k in range(37)]
+    for fn, keys in ((enc.encode_text, texts), (enc.encode_pair, pairs)):
+        batch = fn(params, keys)
+        assert batch.shape == (len(keys), 8)
+        for k, key in enumerate(keys):
+            assert np.array_equal(fn(params, [key])[0], batch[k]), key
+        assert np.array_equal(fn(params, keys[5:7]), batch[5:7])
+    assert enc.encode_text(params, []).shape == (0, 8)
 
 
 def test_pretrain_separable_toy_reaches_accuracy():
@@ -88,7 +120,7 @@ def test_pretrain_separable_toy_reaches_accuracy():
     assert len(trace) == 40
     correct = 0
     for q, i, y in held:
-        emb = enc.encode_pair(params, q, i)
+        emb = enc.encode_pair(params, [(q, i)])[0]
         logit = emb @ params.binary_head.W.data[:, 0] + params.binary_head.b.data[0]
         correct += int((logit > 0) == bool(y))
     acc = correct / len(held)
@@ -138,7 +170,7 @@ def test_finetune_reduces_loss_and_beats_uniform():
 
     correct = 0
     for q, i, rsl in held:
-        emb = enc.encode_pair(params, q, i)
+        emb = enc.encode_pair(params, [(q, i)])[0]
         logits = emb @ params.rsl_head.W.data + params.rsl_head.b.data
         correct += int(np.argmax(logits) == rsl - 1)
     assert correct / len(held) > 0.25
@@ -200,7 +232,7 @@ def test_lookup_hit_miss_and_counter():
     index.attach_encoder(params)
     w = index.lookup_text("never seen")
     assert index.cache_misses == 1
-    assert np.allclose(w, enc.encode_text(params, "never seen"), atol=0)
+    assert np.allclose(w, enc.encode_text(params, ["never seen"])[0], atol=0)
     # second lookup is a hit, counter unchanged
     index.lookup_text("never seen")
     assert index.cache_misses == 1
@@ -209,7 +241,7 @@ def test_lookup_hit_miss_and_counter():
 def test_lookup_pair_semantics():
     params, index = _tiny_index()
     v = index.lookup_pair("red shoe", "blue hat")
-    assert np.allclose(v, enc.encode_pair(params, "red shoe", "blue hat"), atol=1e-15)
+    assert np.allclose(v, enc.encode_pair(params, [("red shoe", "blue hat")])[0], atol=1e-15)
 
 
 def test_load_index_rejects_bad_header(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rankfuse import autodiff as ad
+from rankfuse import encoder as enc
 from rankfuse import model as md
 from rankfuse.checkpoint import params_digest
 from rankfuse.data import Sample
@@ -495,6 +496,83 @@ def test_index_dim_mismatch_rejected():
     cfg = tiny_config()
     with pytest.raises(DimensionError):
         md.build_batch(samples, make_index(samples, cfg.d + 1), cfg)
+
+
+def test_cache_stores_each_history_once():
+    samples = make_samples(30, seed=21)
+    shared = [("cat0 h", "cat1 h x"), ("cat2 h", "cat0 h x")]
+    for s in samples[::3]:
+        s.history = list(shared)  # equal by value, separate list objects
+    cfg = tiny_config()
+    idx = make_index(samples, cfg.d)
+    cache = md.TrainingCache(samples, idx, cfg)
+    distinct = {tuple(s.history) for s in samples}
+    assert cache.hist_off.size == len(distinct) + 1
+    assert cache.hist_q_rows.size == sum(len(h) for h in distinct)
+    batch = cache.batch(np.arange(len(samples), dtype=np.int64))
+    for j, i in enumerate(batch.hist_rows):
+        hist = samples[i].history
+        assert np.array_equal(batch.hist_r_emb[j, : len(hist)],
+                              np.stack([idx.lookup_pair(q, it) for q, it in hist]))
+
+
+# ---------------------------------------------------------------------------
+# encoder fallback: a miss gets the vector a full build_index stores
+
+
+def _corpus_keys(samples):
+    idx = make_index(samples, 2)
+    return sorted(idx.text), sorted(tuple(k.split(PAIR_KEY_SEP)) for k in idx.pair)
+
+
+def _partial_index(samples, keep_text, keep_pair):
+    """(encoder, full build_index of every key, build_index of the kept keys
+    with the encoder attached)."""
+    params = enc.init_encoder(enc.EncoderConfig(vocab_size=64, d_raw=16, d=8, seed=3))
+    texts, pairs = _corpus_keys(samples)
+    full = enc.build_index(params, texts, pairs, checkpoint_id="x")
+    part = enc.build_index(params, [t for t in texts if keep_text(t)],
+                           [p for p in pairs if keep_pair(p)], checkpoint_id="x")
+    part.attach_encoder(params)
+    return params, full, part
+
+
+def _assert_bit_equal(index, full):
+    assert index.text.keys() == full.text.keys() and index.pair.keys() == full.pair.keys()
+    for table, ref in ((index.text, full.text), (index.pair, full.pair)):
+        for key, vec in ref.items():
+            assert np.array_equal(table[key], vec), key
+
+
+def test_fallback_vectors_equal_build_index():
+    samples = make_samples(60, seed=8)
+    texts, pairs = _corpus_keys(samples)
+    kept_t, kept_p = set(texts[::2]), set(pairs[::3])
+    _, full, part = _partial_index(samples, kept_t.__contains__, kept_p.__contains__)
+    params = md.build_model(tiny_config())
+    scores = md.score_dataset(params, samples, part)
+    assert part.cache_misses == len(texts) - len(kept_t) + len(pairs) - len(kept_p)
+    _assert_bit_equal(part, full)
+    assert np.array_equal(scores, md.score_dataset(params, samples, full))
+
+
+def test_single_miss_fallback_equals_build_index():
+    # one missing pair goes through the one-row (padded) encode
+    samples = make_samples(20, seed=9)
+    missing = (samples[0].query_text, samples[0].item_text)
+    _, full, part = _partial_index(samples, lambda t: True, lambda p: p != missing)
+    md.score_dataset(md.build_model(tiny_config()), samples, part)
+    assert part.cache_misses == 1
+    _assert_bit_equal(part, full)
+
+
+def test_build_index_last_chunk_of_one_key():
+    samples = make_samples(20, seed=9)
+    params, full, _ = _partial_index(samples, lambda t: True, lambda p: True)
+    texts, pairs = _corpus_keys(samples)
+    for n in (len(texts), len(pairs)):
+        assert n > 2
+        _assert_bit_equal(enc.build_index(params, texts, pairs, "x", batch_size=n - 1), full)
 
 
 def test_full_composition_finite_difference():

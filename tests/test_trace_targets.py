@@ -52,7 +52,8 @@ def tiny(tmp_path_factory):
     (root / "user.txt").write_text(
         "user_id=3\n" + "".join(f"{q}^{i}\n" for q, i in history), encoding="utf-8")
     cands = {s.item_id: s.item_text for s in test[:8]}
-    cands[9999] = "an item text no split holds"
+    for k in range(3):  # unindexed: three text and three pair misses
+        cands[9997 + k] = f"item text {k} that no split holds"
     (root / "cands.txt").write_text(
         "".join(f"{i}\t{t}\n" for i, t in sorted(cands.items())), encoding="utf-8")
     return {
@@ -105,7 +106,10 @@ def test_rank_reaches_traced_calls(tiny, tmp_path):
     # model.score_candidate_ms: one personalized_score span per request
     assert out["spans"].count("model.personalized_score") == 1
     assert out["spans"].count("model.sample_for_scoring") == len(tiny["candidates"])
-    assert out["spans"].count("encoder.encode_text") >= 1  # the unindexed candidate
+    assert out["spans"].count("encoder.encode_text") >= 1  # the unindexed candidates
+    # encoder.fallback_*: a request's misses are encoded in one batch per kind
+    assert out["spans"].count("encoder.encode_pair") == 1
+    assert out["spans"].count("encoder.encode_text") <= 1
     # encoder.index_hit_ratio: lookups counted under the request
     for name in ("encoder.EmbeddingIndex.lookup_text", "encoder.EmbeddingIndex.lookup_pair"):
         assert out["counts"].get(name, 0) > 0, name

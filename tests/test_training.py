@@ -82,6 +82,10 @@ def test_train_config_validation():
         tr.TrainConfig(momentum=1.0)
     with pytest.raises(ValidationError):
         tr.TrainConfig(stage1_epochs=-1)
+    for name in ("alpha", "beta", "gamma", "lr_stage1", "lr_base", "lr_rsl_finetune", "lr_prim"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match=name):
+                tr.TrainConfig(**{name: bad})
     tr.TrainConfig()  # defaults are valid
 
 
