@@ -29,7 +29,7 @@ from .errors import DatasetParseError, ValidationError
 FORMAT = "rankfuse-container 1"
 # first bytes of the text formats this container replaced
 LEGACY_HEADERS = (b"rankfuse-params 1", b"dim=")
-_ZIP_MAGIC = b"PK\x03\x04"
+ZIP_MAGIC = b"PK\x03\x04"
 
 
 def save_container(path, kind: str, head: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -52,7 +52,7 @@ def load_container(path, kind: str, rerun: str) -> tuple[dict, dict[str, np.ndar
         raise DatasetParseError(
             None, f"{path} is in the old text format; re-run `{rerun}` to rewrite it"
         )
-    if not start.startswith(_ZIP_MAGIC):
+    if not start.startswith(ZIP_MAGIC):
         raise DatasetParseError(None, f"{path} is not a rankfuse {kind} file")
     try:
         with np.load(path, allow_pickle=False) as archive:

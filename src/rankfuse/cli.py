@@ -114,7 +114,6 @@ def cmd_gen_data(args) -> int:
 
     outputs = []
     for name, subset in (
-        ("dataset.tsv", samples),
         ("train.tsv", train),
         ("validation.tsv", validation),
         ("test.tsv", test),
@@ -211,15 +210,19 @@ def cmd_encoder(args) -> int:
     params = load_encoder(ckpt_in)
     texts: set[str] = set()
     pairs: set[tuple[str, str]] = set()
+    histories: set[tuple] = set()
     for dataset_path in args.dataset_file:
         dataset_path = _require(dataset_path, "dataset file")
         inputs.append(dataset_path)
         for s in dt.read_dataset(dataset_path):
             texts.update([s.query_text, s.item_text])
             pairs.add((s.query_text, s.item_text))
-            for q, i in s.history:
-                texts.update([q, i])
-                pairs.add((q, i))
+            histories.add(tuple(s.history))
+    # rows share a history by value, so each distinct one is walked once
+    for history in histories:
+        for q, i in history:
+            texts.update([q, i])
+        pairs.update(history)
     index = build_index(params, sorted(texts), sorted(pairs), encoder_digest(params))
     index_path = out / "index.tsv"
     save_index(index, index_path)

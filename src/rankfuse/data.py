@@ -5,6 +5,10 @@ relevance sensitivity, items with categories/descriptors/quality, queries
 derived from items) and simulates click logs over it. True relevance, item
 quality, user sensitivity and the click probability live in a sidecar
 manifest that the model-visible dataset never contains.
+
+Dataset files store each distinct click history once, in a history table
+that rows refer to by id (see write_dataset); the per-row format before it
+is refused with a message to re-run `rankfuse gen-data`.
 """
 
 from __future__ import annotations
@@ -16,10 +20,14 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .autodiff import np_sigmoid
+from .checkpoint import ZIP_MAGIC
 from .encoder import PAIR_KEY_SEP, tokenize
 from .errors import DatasetParseError, ValidationError
 
 HISTORY_LIMIT = 50
+DATASET_FORMAT = "rankfuse-dataset"
+DATASET_VERSION = 2
+# the columns of an impression row; history_id points into the history table
 DATASET_COLUMNS = (
     "user_id",
     "query_text",
@@ -29,12 +37,19 @@ DATASET_COLUMNS = (
     "contains_query",
     "rsl",
     "click",
-    "history",
+    "history_id",
 )
+# the header of the first format, which wrote each row's whole history
+_OLD_DATASET_COLUMNS = DATASET_COLUMNS[:-1] + ("history",)
 SIDECAR_COLUMNS = ("relevance", "quality", "sensitivity", "true_click_prob")
-# texts travel in a tab-separated format with ;-joined, ^-paired history,
-# and the embedding index joins a query and an item with PAIR_KEY_SEP
-FORBIDDEN_CHARS = ("\t", ";", "^", "\n", PAIR_KEY_SEP)
+# texts travel in tab-separated files read with universal newlines (so \r
+# would end a line too), `rank` reads ^-paired history lines, and the
+# embedding index joins a query and an item with PAIR_KEY_SEP; ; joined
+# history entries in the first dataset format and stays forbidden, so both
+# formats hold the same texts
+FORBIDDEN_CHARS = ("\t", ";", "^", "\n", "\r", PAIR_KEY_SEP)
+# what a reader can still find inside a tab-separated field
+_FIELD_FORBIDDEN = (";", "^", PAIR_KEY_SEP)
 
 _SYLLABLES = [c + v for c in "bdklmnprstvz" for v in "aeiou"]
 
@@ -336,9 +351,14 @@ def check_text(text: str, what: str) -> str:
 def open_text(path):
     """Open a UTF-8 text file for reading. Inside the block, bytes that are
     not UTF-8, and every DatasetParseError raised without a path, become a
-    DatasetParseError naming the file."""
+    DatasetParseError naming the file; so does a rankfuse binary container
+    given where a text file belongs."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
+            if fh.buffer.peek(len(ZIP_MAGIC)).startswith(ZIP_MAGIC):
+                raise DatasetParseError(
+                    None, "is a rankfuse binary container (a checkpoint or an index), not a text file"
+                )
             yield fh
     except UnicodeDecodeError as e:
         raise DatasetParseError(None, f"not UTF-8 text ({e.reason})", path=path) from None
@@ -348,34 +368,67 @@ def open_text(path):
         raise DatasetParseError(e.line_no, e.detail, path=path) from None
 
 
-def _format_history(history: list[tuple[str, str]]) -> str:
-    parts = []
-    for q, i in history:
-        if not q or not i:
-            raise ValidationError("history entries must be non-empty")
-        parts.append(f"{check_text(q, 'history query')}^{check_text(i, 'history item')}")
-    return ";".join(parts)
-
-
 def write_dataset(samples: list[Sample], path: str) -> None:
-    """Model-visible records as header + tab-separated lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(DATASET_COLUMNS) + "\n")
-        for s in samples:
-            if len(s.history) > HISTORY_LIMIT:
+    """Write the model-visible records; truth fields are left out.
+
+    Each distinct history is written once and rows refer to it by id:
+    - line 1, the header: `rankfuse-dataset`, `version=2`, `entries=<E>` and
+      `histories=<H>`, tab-separated;
+    - E lines, the entry table: `<query>\t<item>`; entry ids count from 0;
+    - H lines, the history table: entry ids joined by single spaces, newest
+      first (an empty line is the empty history); history ids count from 0;
+    - one row per sample: the DATASET_COLUMNS, tab-separated.
+    Ids are given in order of first appearance, so the bytes depend only on
+    `samples`. Every sample is checked before the file is opened.
+    """
+    entry_id: dict[tuple[str, str], int] = {}
+    hist_id: dict[tuple, int] = {}
+    hist_lines: list[str] = []
+    rows: list[str] = []
+    checked: set[str] = set()
+    for s in samples:
+        history = tuple(s.history)
+        h = hist_id.get(history)
+        if h is None:
+            if len(history) > HISTORY_LIMIT:
                 raise ValidationError(f"history longer than {HISTORY_LIMIT}")
-            row = (
+            ids = []
+            for entry in history:
+                e = entry_id.get(entry)
+                if e is None:
+                    q, i = entry
+                    if not q or not i:
+                        raise ValidationError("history entries must be non-empty")
+                    check_text(q, "history query")
+                    check_text(i, "history item")
+                    e = entry_id[entry] = len(entry_id)
+                ids.append(str(e))
+            h = hist_id[history] = len(hist_lines)
+            hist_lines.append(" ".join(ids))
+        for text, what in ((s.query_text, "query_text"), (s.item_text, "item_text")):
+            if text not in checked:
+                checked.add(check_text(text, what))
+        rows.append(
+            "\t".join((
                 str(int(s.user_id)),
-                check_text(s.query_text, "query_text"),
+                s.query_text,
                 str(int(s.item_id)),
-                check_text(s.item_text, "item_text"),
+                s.item_text,
                 str(int(s.category_match)),
                 str(int(s.contains_query)),
                 str(int(s.rsl)),
                 str(int(s.click)),
-                _format_history(s.history),
-            )
-            fh.write("\t".join(row) + "\n")
+                str(h),
+            ))
+        )
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(
+            f"{DATASET_FORMAT}\tversion={DATASET_VERSION}"
+            f"\tentries={len(entry_id)}\thistories={len(hist_lines)}\n"
+        )
+        fh.writelines(f"{q}\t{i}\n" for q, i in entry_id)
+        fh.writelines(line + "\n" for line in hist_lines)
+        fh.writelines(row + "\n" for row in rows)
 
 
 def _parse_int(text: str, what: str, line_no: int, allowed=None) -> int:
@@ -388,14 +441,94 @@ def _parse_int(text: str, what: str, line_no: int, allowed=None) -> int:
     return v
 
 
+def _parse_id(text: str, what: str, line_no: int, count: int) -> int:
+    v = _parse_int(text, what, line_no)
+    if not 0 <= v < count:
+        raise DatasetParseError(line_no, f"{what} {v} outside 0..{count - 1}")
+    return v
+
+
+def _history_ids(line: str, line_no: int, n_entries: int) -> list[int]:
+    """The entry ids of one history-table line, each in 0..n_entries-1."""
+    try:
+        ids = list(map(int, line.split(" "))) if line else []
+    except ValueError:
+        ids = None
+    if ids is None or (ids and (min(ids) < 0 or max(ids) >= n_entries)):
+        # the slow path names the first bad id
+        ids = [_parse_id(x, "entry id", line_no, n_entries) for x in line.split(" ")]
+    return ids
+
+
+def _check_field(text: str, what: str, line_no: int) -> None:
+    if any(ch in text for ch in _FIELD_FORBIDDEN):
+        raise DatasetParseError(line_no, f"{what} contains forbidden character")
+
+
+def _parse_header(line: str) -> tuple[int, int]:
+    """(entries, histories) from a dataset's first line."""
+    parts = line.rstrip("\n").split("\t")
+    if parts == list(_OLD_DATASET_COLUMNS):
+        raise DatasetParseError(
+            1, "old dataset format (a whole history in every row); "
+            "re-run `rankfuse gen-data` to rewrite it"
+        )
+    if len(parts) != 4 or parts[0] != DATASET_FORMAT:
+        raise DatasetParseError(1, "bad dataset header")
+    if parts[1] != f"version={DATASET_VERSION}":
+        raise DatasetParseError(1, f"unsupported dataset {parts[1]!r}")
+    counts = []
+    for part, key in zip(parts[2:], ("entries", "histories")):
+        name, _, value = part.partition("=")
+        if name != key:
+            raise DatasetParseError(1, f"expected {key}=<count>, got {part!r}")
+        n = _parse_int(value, key, 1)
+        if n < 0:
+            raise DatasetParseError(1, f"negative {key} count {n}")
+        counts.append(n)
+    return counts[0], counts[1]
+
+
+def _table_line(fh, line_no: int, table: str) -> str:
+    line = fh.readline()
+    if not line:
+        raise DatasetParseError(line_no, f"file ends inside the {table} table")
+    return line.rstrip("\n")
+
+
 def read_dataset(path: str) -> list[Sample]:
-    """Inverse of write_dataset; truth fields come back as None."""
+    """Inverse of write_dataset; truth fields come back as None.
+
+    Rows that share a history share one list object, and histories that
+    share an entry share one tuple, so a sample's `history` is read-only.
+    Every error names the file and its 1-based line.
+    """
     samples = []
     with open_text(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if header.split("\t") != list(DATASET_COLUMNS):
-            raise DatasetParseError(1, "bad dataset header")
-        for line_no, line in enumerate(fh, start=2):
+        n_entries, n_histories = _parse_header(fh.readline())
+        line_no = 1
+        entries: list[tuple[str, str]] = []
+        for _ in range(n_entries):
+            line_no += 1
+            line = _table_line(fh, line_no, "entry")
+            parts = line.split("\t")
+            if len(parts) != 2 or not parts[0] or not parts[1]:
+                raise DatasetParseError(line_no, f"bad history entry {line!r}")
+            for text, what in zip(parts, ("history query", "history item")):
+                _check_field(text, what, line_no)
+            entries.append((parts[0], parts[1]))
+        histories: list[list[tuple[str, str]]] = []
+        for _ in range(n_histories):
+            line_no += 1
+            line = _table_line(fh, line_no, "history")
+            ids = _history_ids(line, line_no, n_entries)
+            if len(ids) > HISTORY_LIMIT:
+                raise DatasetParseError(line_no, f"history longer than {HISTORY_LIMIT}")
+            histories.append([entries[e] for e in ids])
+
+        # one str object per distinct text, checked once
+        texts: dict[str, str] = {}
+        for line_no, line in enumerate(fh, start=line_no + 1):
             parts = line.rstrip("\n").split("\t")
             if len(parts) != len(DATASET_COLUMNS):
                 raise DatasetParseError(
@@ -403,28 +536,20 @@ def read_dataset(path: str) -> list[Sample]:
                 )
             user_id, qtext, item_id, itext, cm, cq, rsl, click, hist = parts
             for text, what in ((qtext, "query_text"), (itext, "item_text")):
-                if any(ch in text for ch in (";", "^")):
-                    raise DatasetParseError(line_no, f"{what} contains forbidden character")
-            history: list[tuple[str, str]] = []
-            if hist:
-                for entry in hist.split(";"):
-                    qi = entry.split("^")
-                    if len(qi) != 2 or not qi[0] or not qi[1]:
-                        raise DatasetParseError(line_no, f"bad history entry {entry!r}")
-                    history.append((qi[0], qi[1]))
-            if len(history) > HISTORY_LIMIT:
-                raise DatasetParseError(line_no, f"history longer than {HISTORY_LIMIT}")
+                if text not in texts:
+                    _check_field(text, what, line_no)
+                    texts[text] = text
             samples.append(
                 Sample(
                     user_id=_parse_int(user_id, "user_id", line_no),
-                    query_text=qtext,
+                    query_text=texts[qtext],
                     item_id=_parse_int(item_id, "item_id", line_no),
-                    item_text=itext,
+                    item_text=texts[itext],
                     category_match=_parse_int(cm, "category_match", line_no, {0, 1}),
                     contains_query=_parse_int(cq, "contains_query", line_no, {0, 1}),
                     rsl=_parse_int(rsl, "rsl", line_no, {1, 2, 3, 4}),
                     click=_parse_int(click, "click", line_no, {0, 1}),
-                    history=history,
+                    history=histories[_parse_id(hist, "history_id", line_no, n_histories)],
                 )
             )
     return samples

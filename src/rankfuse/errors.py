@@ -21,7 +21,8 @@ class DimensionError(ValidationError):
 
 
 class DatasetParseError(ValidationError):
-    """Malformed dataset, sidecar, index or checkpoint. Carries the 1-based
+    """Malformed text input (dataset, sidecar, metrics, config, `rank`
+    request files) or binary container (index, checkpoint). Carries the 1-based
     line number of a text file, or None for a binary one, and the file's
     path when the raiser gives it."""
 

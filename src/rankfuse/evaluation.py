@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import open_text
 from .encoder import EmbeddingIndex
-from .errors import UndefinedMetricError, ValidationError
+from .errors import DatasetParseError, UndefinedMetricError, ValidationError
 from .model import load_model, score_dataset
 
 TOP_K = 10
@@ -276,18 +277,19 @@ def metric_lines(rows: list[dict]) -> list[str]:
 
 
 def read_metrics_file(path) -> dict[str, float]:
-    """Parse a metric\tvalue file back into a name -> value map."""
+    """Parse a metric\tvalue file back into a name -> value map; every error
+    is a DatasetParseError naming the file."""
     out: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line:
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
-                raise ValidationError(f"metrics line {line_no}: expected name\\tvalue")
+                raise DatasetParseError(line_no, "expected name\\tvalue")
             try:
                 out[parts[0]] = float(parts[1])
             except ValueError:
-                raise ValidationError(f"metrics line {line_no}: bad value {parts[1]!r}") from None
+                raise DatasetParseError(line_no, f"bad metric value {parts[1]!r}") from None
     return out

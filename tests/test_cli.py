@@ -81,25 +81,39 @@ def run_train(pipe, out, extra=()):
 
 def test_gen_data_outputs_and_manifest(pipe):
     data = pipe["data"]
-    for name in ("dataset.tsv", "train.tsv", "validation.tsv", "test.tsv",
+    for name in ("train.tsv", "validation.tsv", "test.tsv",
                  "ground_truth.tsv", "config.resolved", "manifest.json"):
         assert (data / name).is_file()
-    n = len(dt.read_dataset(data / "dataset.tsv"))
+    assert not (data / "dataset.tsv").exists()
     parts = [len(dt.read_dataset(data / f)) for f in ("train.tsv", "validation.tsv", "test.tsv")]
-    assert sum(parts) == n == 400
+    assert sum(parts) == 400
     manifest = json.loads((data / "manifest.json").read_text())
     assert manifest["command"] == "gen-data"
     assert manifest["config"]["n_impressions"] == 400
     assert manifest["duration_seconds"] >= 0
-    recorded = manifest["outputs"][str(data / "dataset.tsv")]
-    assert recorded == sha(data / "dataset.tsv")
+    recorded = manifest["outputs"][str(data / "train.tsv")]
+    assert recorded == sha(data / "train.tsv")
 
 
 def test_gen_data_determinism(pipe, tmp_path):
     out = tmp_path / "again"
     assert main(["gen-data", "--out-dir", str(out)] + GEN_FLAGS) == 0
-    for name in ("dataset.tsv", "ground_truth.tsv", "train.tsv"):
+    for name in ("train.tsv", "validation.tsv", "test.tsv", "ground_truth.tsv"):
         assert sha(out / name) == sha(pipe["data"] / name)
+
+
+def test_old_dataset_format_exits_1_naming_gen_data(tmp_path, capsys):
+    old = tmp_path / "old.tsv"
+    old.write_text(
+        "user_id\tquery_text\titem_id\titem_text\tcategory_match\tcontains_query\trsl\tclick\thistory\n"
+        "3\tcat a\t7\tcat a b\t1\t1\t4\t1\tcat a^cat a c;cat b^cat b d\n",
+        encoding="utf-8",
+    )
+    capsys.readouterr()
+    code = main(["encoder", "pretrain", "--train-file", str(old), "--out-dir", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {old}: line 1: ") and "rankfuse gen-data" in err, err
 
 
 def test_gen_data_refuses_non_empty(pipe, tmp_path):
@@ -584,6 +598,16 @@ def test_non_utf8_text_files_exit_1(pipe, ranked_model, tmp_path, capsys):
         assert main(argv + ["--out-dir", str(tmp_path / f"o{n}")]) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err and "UTF-8" in err, err
+
+
+def test_binary_container_in_a_text_slot_exits_1(pipe, ranked_model, tmp_path, capsys):
+    capsys.readouterr()
+    code = main(["train", "--train-file", str(ranked_model), "--index", str(pipe["index"]),
+                 "--out-dir", str(tmp_path / "o")] + TRAIN_FLAGS)
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {ranked_model}: "), lines
+    assert "binary container" in lines[0]
 
 
 def test_rank_parse_errors_name_the_file(pipe, ranked_model, tmp_path, capsys):

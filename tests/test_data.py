@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rankfuse import data as dt
 from rankfuse.errors import DatasetParseError, ValidationError
@@ -195,12 +197,13 @@ def test_malformed_line_reports_number(tmp_path):
     samples, _ = small_corpus(n_impressions=5)
     path = tmp_path / "data.tsv"
     dt.write_dataset(samples, str(path))
+    bad_line = len(path.read_text(encoding="utf-8").splitlines()) + 1
     with open(path, "a") as fh:
         fh.write("not\tenough\tcolumns\n")
     with pytest.raises(DatasetParseError) as err:
         dt.read_dataset(str(path))
-    assert err.value.line_no == len(samples) + 2
-    assert str(err.value).startswith(f"{path}: line {len(samples) + 2}: ")
+    assert err.value.line_no == bad_line
+    assert str(err.value).startswith(f"{path}: line {bad_line}: ")
 
     bad = tmp_path / "bad.tsv"
     bad.write_text("wrong header\n")
@@ -214,17 +217,125 @@ def test_bad_field_values_rejected(tmp_path):
     path = tmp_path / "data.tsv"
     dt.write_dataset(samples, str(path))
     lines = path.read_text().splitlines()
-    parts = lines[1].split("\t")
-    parts[6] = "7"  # rsl outside 1..4
-    (tmp_path / "rsl.tsv").write_text("\n".join([lines[0], "\t".join(parts)]) + "\n")
-    with pytest.raises(DatasetParseError):
-        dt.read_dataset(str(tmp_path / "rsl.tsv"))
+    last = len(lines) - 1  # the last impression row
+    for name, col, value in (("rsl.tsv", 6, "7"),  # rsl outside 1..4
+                             ("caret.tsv", 3, "has^caret")):
+        parts = lines[last].split("\t")
+        parts[col] = value
+        (tmp_path / name).write_text("\n".join(lines[:last] + ["\t".join(parts)]) + "\n")
+        with pytest.raises(DatasetParseError) as err:
+            dt.read_dataset(str(tmp_path / name))
+        assert err.value.line_no == last + 1
 
-    parts = lines[1].split("\t")
-    parts[3] = "has^caret"
-    (tmp_path / "caret.tsv").write_text("\n".join([lines[0], "\t".join(parts)]) + "\n")
-    with pytest.raises(DatasetParseError):
-        dt.read_dataset(str(tmp_path / "caret.tsv"))
+
+def test_rows_share_history_objects(tmp_path):
+    samples, _ = small_corpus(n_impressions=400, n_users=5)
+    path = tmp_path / "data.tsv"
+    dt.write_dataset(samples, str(path))
+    back = dt.read_dataset(str(path))
+    assert back == samples
+    by_value = {}
+    for s in back:
+        assert by_value.setdefault(tuple(s.history), s.history) is s.history
+    entries = {}
+    for history in by_value:
+        for entry in history:
+            assert entries.setdefault(entry, entry) is entry
+    # the file holds each distinct history once
+    head = path.read_text(encoding="utf-8").splitlines()[0]
+    assert head == f"rankfuse-dataset\tversion=2\tentries={len(entries)}\thistories={len(by_value)}"
+
+
+# any text the writer accepts, non-ASCII included
+_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="".join(dt.FORBIDDEN_CHARS)),
+    min_size=1, max_size=6,
+)
+
+
+@st.composite
+def sample_lists(draw):
+    """Samples whose histories repeat, share entries, are empty or full."""
+    entries = draw(st.lists(st.tuples(_TEXT, _TEXT), min_size=1, max_size=8))
+    entry = st.sampled_from(entries)
+    histories = draw(st.lists(st.one_of(
+        st.just([]),
+        st.lists(entry, max_size=dt.HISTORY_LIMIT),
+        st.lists(entry, min_size=dt.HISTORY_LIMIT, max_size=dt.HISTORY_LIMIT),
+    ), min_size=1, max_size=5))
+    ints = st.integers(-(2**40), 2**40)
+    bit = st.integers(0, 1)
+    rows = draw(st.lists(st.tuples(
+        ints, _TEXT, ints, _TEXT, bit, bit, st.integers(1, 4), bit,
+        st.integers(0, len(histories) - 1),
+    ), max_size=12))
+    # rows equal in value but not in identity, as the generator makes them
+    return [dt.Sample(*row[:8], history=list(histories[row[8]])) for row in rows]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(samples=sample_lists())
+def test_dataset_roundtrip_property(tmp_path, samples):
+    first, second = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    dt.write_dataset(samples, str(first))
+    assert dt.read_dataset(str(first)) == samples
+    dt.write_dataset([dt.Sample(**s.__dict__) for s in samples], str(second))
+    assert first.read_bytes() == second.read_bytes()
+
+
+# a canonical file: write_dataset gives these bytes back
+SMALL_FILE = (
+    "rankfuse-dataset\tversion=2\tentries=2\thistories=2\n"
+    "cat c\tcat c d\n"
+    "cat a\tcat a b\n"
+    "0 1\n"
+    "\n"
+    "3\tcat a\t7\tcat a b\t1\t1\t4\t1\t0\n"
+    "4\tcat c\t8\tcat c d\t1\t1\t4\t0\t1\n"
+)
+
+
+def test_small_file_reads_and_rewrites(tmp_path):
+    path = tmp_path / "small.tsv"
+    path.write_text(SMALL_FILE, encoding="utf-8")
+    a, b = dt.read_dataset(str(path))
+    assert a == dt.Sample(3, "cat a", 7, "cat a b", 1, 1, 4, 1,
+                          [("cat c", "cat c d"), ("cat a", "cat a b")])
+    assert b == dt.Sample(4, "cat c", 8, "cat c d", 1, 1, 4, 0, [])
+    dt.write_dataset([a, b], str(tmp_path / "again.tsv"))
+    assert (tmp_path / "again.tsv").read_text(encoding="utf-8") == SMALL_FILE
+
+
+@pytest.mark.parametrize("old, new, line, words", [
+    ("version=2", "version=3", 1, "unsupported"),
+    ("entries=2", "entries=-1", 1, "negative"),
+    ("cat c\tcat c d\n", "cat c\t\n", 2, "bad history entry"),
+    ("cat a\tcat a b\n", "cat^a\tcat a b\n", 3, "forbidden"),
+    ("0 1\n", "0 2\n", 4, "entry id 2 outside 0..1"),
+    ("0 1\n", "x 1\n", 4, "bad entry id"),
+    ("0 1\n", " ".join(["0"] * 51) + "\n", 4, "history longer than 50"),
+    ("\t1\t4\t0\t1\n", "\t1\t4\t0\t2\n", 7, "history_id 2 outside 0..1"),
+    ("\t1\t4\t0\t1\n", "\t1\t5\t0\t1\n", 7, "rsl 5 outside"),
+    ("\t1\t4\t0\t1\n", "\t1\t4\t0\n", 7, "expected 9 columns"),
+])
+def test_table_errors_name_the_line(tmp_path, old, new, line, words):
+    assert old in SMALL_FILE
+    path = tmp_path / "bad.tsv"
+    path.write_text(SMALL_FILE.replace(old, new, 1), encoding="utf-8")
+    with pytest.raises(DatasetParseError) as err:
+        dt.read_dataset(str(path))
+    assert err.value.line_no == line and err.value.path == str(path)
+    assert words in str(err.value)
+
+
+def test_file_ending_inside_a_table_names_the_line(tmp_path):
+    path = tmp_path / "short.tsv"
+    path.write_text(SMALL_FILE.replace("histories=2", "histories=4").split("3\t")[0],
+                    encoding="utf-8")
+    with pytest.raises(DatasetParseError) as err:
+        dt.read_dataset(str(path))
+    assert err.value.line_no == 6 and "ends inside the history table" in str(err.value)
 
 
 def test_forbidden_characters_rejected_on_write(tmp_path):

@@ -5,7 +5,7 @@ from rankfuse import data as dt
 from rankfuse import evaluation as ev
 from rankfuse import model as md
 from rankfuse.encoder import PAIR_KEY_SEP, EmbeddingIndex
-from rankfuse.errors import UndefinedMetricError, ValidationError
+from rankfuse.errors import DatasetParseError, UndefinedMetricError, ValidationError
 
 
 def imp(uid, score, click, q="q", item=None):
@@ -320,6 +320,24 @@ def test_run_comparison_self_and_layout(tmp_path):
         name, value = line.split("\t")
         float(value)  # parses
         assert name.split(".")[0] in ("full", "again")
+
+
+def test_read_metrics_file_errors_name_the_file(tmp_path):
+    good = tmp_path / "metrics.txt"
+    good.write_text("full.auc\t0.75\n\nfull.gauc\t0.5\n", encoding="utf-8")
+    assert ev.read_metrics_file(good) == {"full.auc": 0.75, "full.gauc": 0.5}
+    cases = (
+        (b"x\xff", None, "not UTF-8"),
+        (b"full.auc\t0.75\nfull.gauc\n", 2, "expected name"),
+        (b"full.auc\tlow\n", 1, "bad metric value"),
+    )
+    for n, (content, line, words) in enumerate(cases):
+        path = tmp_path / f"bad{n}.txt"
+        path.write_bytes(content)
+        with pytest.raises(DatasetParseError) as err:
+            ev.read_metrics_file(path)
+        assert err.value.path == path and err.value.line_no == line
+        assert words in str(err.value)
 
 
 def test_run_comparison_empty_variants():
