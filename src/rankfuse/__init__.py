@@ -5,4 +5,3 @@ text-encoder surrogate, and an evaluation/ablation harness."""
 __version__ = "0.1.0"
 
 from .autodiff import Parameter, Tape, Tensor  # noqa: F401
-from .kernels import ACTIVE_BACKEND  # noqa: F401

@@ -3,7 +3,7 @@
 Everything is float64. A ``Tape`` records every primitive applied to tracked
 tensors in forward order; ``Tape.backward`` replays the records in exact
 reverse order, accumulating gradients. Replay order is fixed and every
-primitive is a deterministic numpy/numba computation, so two backward passes
+primitive is a deterministic numpy computation, so two backward passes
 over the same tape produce bit-identical gradients.
 
 The loss graph changes shape across ablation variants (regularizer off,
@@ -531,24 +531,6 @@ def embedding_bag_mean(table, flat_ids, offsets) -> Tensor:
     return _make(out_data, (table,), fn)
 
 
-def embedding_lookup(table, ids: Sequence) -> Tensor:
-    """Stack one pooled row per element of ids.
-
-    Each element is either a single int (that row) or an iterable of ints
-    (elementwise mean of those rows; empty means a zero vector). Iterable
-    elements are pooled in sorted order so sets pool deterministically.
-    """
-    flat: list[int] = []
-    offsets = [0]
-    for item in ids:
-        if isinstance(item, (int, np.integer)):
-            flat.append(int(item))
-        else:
-            flat.extend(sorted(int(i) for i in item))
-        offsets.append(len(flat))
-    return embedding_bag_mean(table, np.array(flat, dtype=np.int64), np.array(offsets, dtype=np.int64))
-
-
 def select_rows(x, idx) -> Tensor:
     """out = x[idx] for a 1D index array; backward scatter-adds by row."""
     x = _as_tensor(x)
@@ -557,13 +539,14 @@ def select_rows(x, idx) -> Tensor:
     out_data = x.data[idx]
 
     def fn(g):
-        np.add.at(_grad_buf(x), idx, g)
+        kernels.scatter_add_rows(_grad_buf(x), idx, g)
 
     return _make(out_data, (x,), fn)
 
 
 def select_columns(x, cols) -> Tensor:
-    """out[i] = x[i, cols[i]] for a 2D x."""
+    """out[i] = x[i, cols[i]] for a 2D x; one entry per row, so backward
+    writes each (row, col) once."""
     x = _as_tensor(x)
     if x.data.ndim != 2:
         raise DimensionError("select_columns expects a 2D tensor")
@@ -576,7 +559,7 @@ def select_columns(x, cols) -> Tensor:
     out_data = x.data[rows, cols]
 
     def fn(g):
-        np.add.at(_grad_buf(x), (rows, cols), g)
+        _grad_buf(x)[rows, cols] += g
 
     return _make(out_data, (x,), fn)
 

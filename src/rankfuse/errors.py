@@ -47,10 +47,6 @@ class GraphError(RankfuseError, RuntimeError):
     """Backward was asked about a value the tape never produced."""
 
 
-class NumericError(RankfuseError, ArithmeticError):
-    """A non-finite value appeared where the contract requires finite ones."""
-
-
 class TrainingError(RankfuseError, RuntimeError):
     """Training cannot proceed (degenerate labels, non-finite loss, ...)."""
 

@@ -115,12 +115,6 @@ def auc(impressions: list[ScoredImpression]) -> float:
     return auc_scores(scores, clicks)
 
 
-def auc_brute_force(impressions: list[ScoredImpression]) -> float:
-    scores = np.array([im.score for im in impressions], dtype=np.float64)
-    clicks = np.array([im.click for im in impressions])
-    return auc_scores_brute_force(scores, clicks)
-
-
 # ---------------------------------------------------------------------------
 # GAUC
 

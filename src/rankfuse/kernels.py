@@ -1,202 +1,64 @@
-"""Hot inner loops with numba-jitted and pure-numpy twins.
+"""Embedding-bag kernels on ``np.bincount``: segment means and their
+gradient, row scatter-adds, and history padding.
 
-Backend selection happens once, at import, from the RANKFUSE_BACKEND env var:
-
-    auto   use numba when importable, numpy otherwise (default)
-    numba  require numba, fail loudly if it is missing
-    numpy  force the pure-numpy fallbacks even when numba is installed
-
-Both twins of every kernel accumulate float64 values in the same element
-order, so switching backends never changes results, not even in the last bit.
-``numpy_impl`` and ``numba_impl`` stay importable regardless of the active
-backend so tests and benchmarks can compare the two directly.
+Bags are offset-delimited: ``ids`` is a flat row-index array and ``offsets``
+(length m+1) delimits the m segments. ``np.bincount`` adds its weights into
+each bin in input order, starting from zero, so every sum here has the bits
+of a sequential ``out[bin[i]] += w[i]`` loop. A scatter-add sums the rows of
+each distinct id first, then adds the sums into ``out``; into a zero buffer
+that is the loop's result exactly, into a non-zero one it may round the last
+bit differently.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from .errors import ValidationError
 
-_ENV_VAR = "RANKFUSE_BACKEND"
+
+def _bincount_rows(bins: np.ndarray, rows: np.ndarray, n_bins: int) -> np.ndarray:
+    """Sum the (k, d) rows into n_bins rows by bin, in input order."""
+    d = rows.shape[1]
+    flat = (bins[:, None] * d + np.arange(d)).reshape(-1)
+    sums = np.bincount(flat, weights=rows.reshape(-1), minlength=n_bins * d)
+    # with no input at all, bincount returns int64 zeros even given weights
+    return sums.astype(np.float64, copy=False).reshape(n_bins, d)
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy reference implementations
-#
-# np.add.at is unbuffered and applies updates in index order, matching the
-# sequential jitted loops exactly.
+def _segments(offsets: np.ndarray):
+    lengths = np.diff(np.asarray(offsets, dtype=np.int64))
+    return lengths, np.repeat(np.arange(lengths.shape[0]), lengths)
 
 
-def _scatter_add_rows_np(out, ids, rows):
-    np.add.at(out, ids, rows)
-
-
-def _segment_mean_np(table, ids, offsets, out):
-    m = offsets.shape[0] - 1
-    counts = (offsets[1:] - offsets[:-1]).astype(np.float64)
-    seg = np.repeat(np.arange(m), offsets[1:] - offsets[:-1])
-    np.add.at(out, seg, table[ids])
-    nonempty = counts > 0
-    out[nonempty] /= counts[nonempty, None]
-
-
-def _segment_mean_grad_np(grad_table, ids, offsets, grad_out):
-    m = offsets.shape[0] - 1
-    counts = (offsets[1:] - offsets[:-1]).astype(np.float64)
-    seg = np.repeat(np.arange(m), offsets[1:] - offsets[:-1])
-    scaled = grad_out / np.maximum(counts, 1.0)[:, None]
-    np.add.at(grad_table, ids, scaled[seg])
-
-
-def _pad_segments_np(ids, offsets, width):
-    m = offsets.shape[0] - 1
-    lengths = offsets[1:] - offsets[:-1]
-    padded = np.zeros((m, width), dtype=np.int64)
-    mask = np.arange(width)[None, :] < lengths[:, None]
-    padded[mask] = ids
-    return padded, mask
-
-
-numpy_impl = {
-    "scatter_add_rows": _scatter_add_rows_np,
-    "segment_mean": _segment_mean_np,
-    "segment_mean_grad": _segment_mean_grad_np,
-    "pad_segments": _pad_segments_np,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba twins
-
-numba_impl = None
-
-try:
-    from numba import njit
-
-    @njit(cache=True)
-    def _scatter_add_rows_nb(out, ids, rows):  # pragma: no cover - jitted
-        for i in range(ids.shape[0]):
-            r = ids[i]
-            for j in range(out.shape[1]):
-                out[r, j] += rows[i, j]
-
-    @njit(cache=True)
-    def _segment_mean_nb(table, ids, offsets, out):  # pragma: no cover
-        m = offsets.shape[0] - 1
-        for s in range(m):
-            lo = offsets[s]
-            hi = offsets[s + 1]
-            if hi <= lo:
-                continue
-            for t in range(lo, hi):
-                row = ids[t]
-                for j in range(out.shape[1]):
-                    out[s, j] += table[row, j]
-            inv = hi - lo
-            for j in range(out.shape[1]):
-                out[s, j] /= inv
-
-    @njit(cache=True)
-    def _segment_mean_grad_nb(grad_table, ids, offsets, grad_out):  # pragma: no cover
-        m = offsets.shape[0] - 1
-        for s in range(m):
-            lo = offsets[s]
-            hi = offsets[s + 1]
-            if hi <= lo:
-                continue
-            count = hi - lo
-            for t in range(lo, hi):
-                row = ids[t]
-                for j in range(grad_table.shape[1]):
-                    grad_table[row, j] += grad_out[s, j] / count
-
-    @njit(cache=True)
-    def _pad_segments_nb_inner(ids, offsets, padded, mask):  # pragma: no cover
-        m = offsets.shape[0] - 1
-        for s in range(m):
-            lo = offsets[s]
-            hi = offsets[s + 1]
-            for t in range(lo, hi):
-                padded[s, t - lo] = ids[t]
-                mask[s, t - lo] = True
-
-    def _pad_segments_nb(ids, offsets, width):
-        m = offsets.shape[0] - 1
-        padded = np.zeros((m, width), dtype=np.int64)
-        mask = np.zeros((m, width), dtype=np.bool_)
-        _pad_segments_nb_inner(ids, offsets, padded, mask)
-        return padded, mask
-
-    numba_impl = {
-        "scatter_add_rows": _scatter_add_rows_nb,
-        "segment_mean": _segment_mean_nb,
-        "segment_mean_grad": _segment_mean_grad_nb,
-        "pad_segments": _pad_segments_nb,
-    }
-except ImportError:
-    pass
-
-
-def _select_backend():
-    choice = os.environ.get(_ENV_VAR, "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValidationError(
-            f"{_ENV_VAR} must be one of auto|numba|numpy, got {choice!r}"
-        )
-    if choice == "numpy":
-        return "numpy", numpy_impl
-    if choice == "numba":
-        if numba_impl is None:
-            raise ValidationError(f"{_ENV_VAR}=numba but numba is not importable")
-        return "numba", numba_impl
-    if numba_impl is not None:
-        return "numba", numba_impl
-    return "numpy", numpy_impl
-
-
-ACTIVE_BACKEND, _impl = _select_backend()
-
-
-# ---------------------------------------------------------------------------
-# public surface, dispatching to the selected backend
+def _scatter_add(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    uniq, inv = np.unique(ids, return_inverse=True)
+    d = int(np.prod(out.shape[1:]))
+    sums = _bincount_rows(inv, rows.reshape(ids.shape[0], d), uniq.shape[0])
+    out[uniq] += sums.reshape((-1,) + out.shape[1:])
 
 
 def scatter_add_rows(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
-    """out[ids[i]] += rows[i], sequential over i. Duplicate ids accumulate."""
-    _impl["scatter_add_rows"](out, np.ascontiguousarray(ids, dtype=np.int64), rows)
+    """out[ids[i]] += rows[i], in order of i. Duplicate ids accumulate."""
+    _scatter_add(out, np.asarray(ids, dtype=np.int64), rows)
 
 
 def segment_mean(table: np.ndarray, ids: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Mean of table rows per segment; empty segments yield zero rows.
-
-    ids is a flat row-index array, offsets (len m+1) delimits the m segments.
-    """
-    out = np.zeros((offsets.shape[0] - 1, table.shape[1]), dtype=np.float64)
-    _impl["segment_mean"](
-        table,
-        np.ascontiguousarray(ids, dtype=np.int64),
-        np.ascontiguousarray(offsets, dtype=np.int64),
-        out,
-    )
+    """Mean of table rows per segment; empty segments yield zero rows."""
+    lengths, seg = _segments(offsets)
+    out = _bincount_rows(seg, table[np.asarray(ids, dtype=np.int64)], lengths.shape[0])
+    nonempty = lengths > 0
+    out[nonempty] /= lengths[nonempty, None]
     return out
 
 
-def segment_mean_grad(
-    grad_table: np.ndarray,
-    ids: np.ndarray,
-    offsets: np.ndarray,
-    grad_out: np.ndarray,
-) -> None:
+def segment_mean_grad(grad_table: np.ndarray, ids: np.ndarray, offsets: np.ndarray,
+                      grad_out: np.ndarray) -> None:
     """Backward of segment_mean: grad_table[ids[t]] += grad_out[s]/count_s."""
-    _impl["segment_mean_grad"](
-        grad_table,
-        np.ascontiguousarray(ids, dtype=np.int64),
-        np.ascontiguousarray(offsets, dtype=np.int64),
-        grad_out,
-    )
+    lengths, seg = _segments(offsets)
+    scaled = grad_out / np.maximum(lengths, 1)[:, None]
+    # the private helper, so that a traced run counts this as one kernel call
+    _scatter_add(grad_table, np.asarray(ids, dtype=np.int64), scaled[seg])
 
 
 def pad_segments(ids: np.ndarray, offsets: np.ndarray, width: int):
@@ -204,13 +66,12 @@ def pad_segments(ids: np.ndarray, offsets: np.ndarray, width: int):
 
     Padding slots hold id 0 and mask False; every segment must fit in width.
     """
-    lengths = offsets[1:] - offsets[:-1]
+    lengths = np.diff(np.asarray(offsets, dtype=np.int64))
     if lengths.size and int(lengths.max()) > width:
         raise ValidationError(
             f"segment of length {int(lengths.max())} exceeds pad width {width}"
         )
-    return _impl["pad_segments"](
-        np.ascontiguousarray(ids, dtype=np.int64),
-        np.ascontiguousarray(offsets, dtype=np.int64),
-        int(width),
-    )
+    padded = np.zeros((lengths.shape[0], width), dtype=np.int64)
+    mask = np.arange(width)[None, :] < lengths[:, None]
+    padded[mask] = ids
+    return padded, mask

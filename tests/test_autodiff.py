@@ -208,16 +208,17 @@ def test_bad_lr_group_rejected():
 # embedding primitives
 
 
-def test_embedding_lookup_modes():
+def test_embedding_bag_mean_modes():
     table = ad.Parameter("t", np.arange(12.0).reshape(4, 3), "base")
-    out = ad.embedding_lookup(table, [2])
+    out = ad.embedding_bag_mean(table, [2], [0, 1])
     assert (out.data[0] == table.data[2]).all()
-    out = ad.embedding_lookup(table, [{1, 3}])
+    out = ad.embedding_bag_mean(table, [1, 3], [0, 2])
     assert np.allclose(out.data[0], (table.data[1] + table.data[3]) / 2.0)
-    out = ad.embedding_lookup(table, [set()])
+    out = ad.embedding_bag_mean(table, [], [0, 0])
     assert (out.data[0] == 0.0).all()
-    mixed = ad.embedding_lookup(table, [0, {1, 2}, set(), 3])
+    mixed = ad.embedding_bag_mean(table, [0, 1, 2, 3], [0, 1, 3, 3, 4])
     assert mixed.data.shape == (4, 3)
+    assert (mixed.data[2] == 0.0).all() and (mixed.data[3] == table.data[3]).all()
 
 
 def test_embedding_id_out_of_range():

@@ -1,25 +1,103 @@
-"""Both kernel backends must agree bit-for-bit, not just approximately."""
+"""The bincount kernels against sequential oracles, bit for bit.
+
+`np.add.at` is unbuffered and adds in index order, so the oracles below are
+the plain `out[ids[i]] += rows[i]` loop the kernels must reproduce exactly
+whenever they scatter into a zero buffer, which is every scatter of one
+backward pass over a fresh gradient.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rankfuse import autodiff as ad
 from rankfuse import kernels
 from rankfuse.errors import ValidationError
 
-BACKENDS = [("numpy", kernels.numpy_impl)]
-if kernels.numba_impl is not None:
-    BACKENDS.append(("numba", kernels.numba_impl))
+
+def oracle_segment_mean(table, ids, offsets):
+    lengths = offsets[1:] - offsets[:-1]
+    out = np.zeros((lengths.size, table.shape[1]))
+    np.add.at(out, np.repeat(np.arange(lengths.size), lengths), table[ids])
+    nonempty = lengths > 0
+    out[nonempty] /= lengths[nonempty, None].astype(np.float64)
+    return out
 
 
-def _random_segments(rng, n_segments, table_rows, max_len):
-    lengths = rng.integers(0, max_len + 1, size=n_segments)
-    flat = rng.integers(0, table_rows, size=int(lengths.sum()), dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-    return flat, offsets
+def oracle_segment_mean_grad(grad_table, ids, offsets, grad_out):
+    lengths = offsets[1:] - offsets[:-1]
+    scaled = grad_out / np.maximum(lengths, 1.0)[:, None]
+    np.add.at(grad_table, ids, scaled[np.repeat(np.arange(lengths.size), lengths)])
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_scatter_add_matches_dense_oracle(name, impl):
+def oracle_pad_segments(ids, offsets, width):
+    padded = np.zeros((offsets.size - 1, width), dtype=np.int64)
+    mask = np.zeros(padded.shape, dtype=bool)
+    for s in range(offsets.size - 1):
+        for t in range(offsets[s], offsets[s + 1]):
+            padded[s, t - offsets[s]] = ids[t]
+            mask[s, t - offsets[s]] = True
+    return padded, mask
+
+
+def assert_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def check_against_oracles(table, ids, offsets, rng):
+    assert_bits(kernels.segment_mean(table, ids, offsets), oracle_segment_mean(table, ids, offsets))
+
+    g = rng.normal(size=(offsets.size - 1, table.shape[1]))
+    got, want = np.zeros_like(table), np.zeros_like(table)
+    kernels.segment_mean_grad(got, ids, offsets, g)
+    oracle_segment_mean_grad(want, ids, offsets, g)
+    assert_bits(got, want)
+
+    rows = rng.normal(size=(ids.size, table.shape[1]))
+    got, want = np.zeros_like(table), np.zeros_like(table)
+    kernels.scatter_add_rows(got, ids, rows)
+    np.add.at(want, ids, rows)
+    assert_bits(got, want)
+
+    width = int((offsets[1:] - offsets[:-1]).max(initial=0))
+    for got, want in zip(kernels.pad_segments(ids, offsets, width),
+                         oracle_pad_segments(ids, offsets, width)):
+        assert_bits(got, want)
+
+
+@st.composite
+def bags(draw):
+    """Bags over a table of 1..40 rows: few rows make heavy duplicates; bags
+    and the whole id list may be empty."""
+    rows = draw(st.integers(1, 40))
+    d = draw(st.sampled_from((1, 2, 7)))
+    lengths = draw(st.lists(st.integers(0, 12), max_size=10))
+    n = sum(lengths)
+    ids = draw(st.lists(st.integers(0, rows - 1), min_size=n, max_size=n))
+    offsets = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)]).astype(np.int64)
+    return rows, d, np.array(ids, dtype=np.int64), offsets, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bags())
+def test_kernels_match_oracles_bit_for_bit(bag):
+    rows, d, ids, offsets, seed = bag
+    rng = np.random.default_rng(seed)
+    check_against_oracles(rng.normal(size=(rows, d)), ids, offsets, rng)
+
+
+def test_kernels_match_oracles_on_batch_shapes():
+    # encoder-like: 512 bags of up to 12 tokens over a 4096-row table
+    rng = np.random.default_rng(11)
+    lengths = rng.integers(0, 13, size=512)
+    ids = rng.integers(0, 4096, size=int(lengths.sum()))
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    check_against_oracles(rng.normal(size=(4096, 16)), ids, offsets, rng)
+
+
+def test_scatter_add_matches_dense_oracle():
     rng = np.random.default_rng(7)
     for _ in range(20):
         rows_n = int(rng.integers(1, 200))
@@ -28,44 +106,57 @@ def test_scatter_add_matches_dense_oracle(name, impl):
         ids = rng.integers(0, table_rows, size=rows_n, dtype=np.int64)
         rows = rng.normal(size=(rows_n, d))
         out = np.zeros((table_rows, d))
-        impl["scatter_add_rows"](out, ids, rows)
+        kernels.scatter_add_rows(out, ids, rows)
         # oracle: one-hot matrix product
         onehot = np.zeros((table_rows, rows_n))
         onehot[ids, np.arange(rows_n)] = 1.0
         assert np.allclose(out, onehot @ rows, atol=1e-12)
 
 
-def test_backends_bit_identical():
-    if kernels.numba_impl is None:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        table = rng.normal(size=(int(rng.integers(2, 50)), int(rng.integers(1, 10))))
-        flat, offsets = _random_segments(rng, int(rng.integers(1, 30)), table.shape[0], 12)
+def test_scatter_add_into_non_zero_buffer_accumulates():
+    # sums per id are added to what the buffer holds; the last bit may round
+    # differently from a sequential loop, the value may not
+    rng = np.random.default_rng(5)
+    start = rng.normal(size=(6, 3))
+    ids = rng.integers(0, 6, size=50)
+    rows = rng.normal(size=(50, 3))
+    got, want = start.copy(), start.copy()
+    kernels.scatter_add_rows(got, ids, rows)
+    np.add.at(want, ids, rows)
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
 
-        out_np = np.zeros((offsets.size - 1, table.shape[1]))
-        out_nb = np.zeros_like(out_np)
-        kernels.numpy_impl["segment_mean"](table, flat, offsets, out_np)
-        kernels.numba_impl["segment_mean"](table, flat, offsets, out_nb)
-        assert (out_np == out_nb).all()
 
-        g = rng.normal(size=out_np.shape)
-        gt_np = np.zeros_like(table)
-        gt_nb = np.zeros_like(table)
-        kernels.numpy_impl["segment_mean_grad"](gt_np, flat, offsets, g)
-        kernels.numba_impl["segment_mean_grad"](gt_nb, flat, offsets, g)
-        assert (gt_np == gt_nb).all()
+def test_two_embeddings_of_one_table_sum_their_gradients():
+    # backward scatters the second op into the buffer the first one filled
+    rng = np.random.default_rng(3)
+    table = ad.Parameter("t", rng.normal(size=(5, 3)), "base")
+    a, b = np.array([0, 2, 2, 4]), np.array([[2, 1], [0, 2]])
+    pa, pb = rng.normal(size=(4, 3)), rng.normal(size=(2, 2, 3))
 
-        rows = rng.normal(size=(flat.size, table.shape[1]))
-        s_np = np.zeros_like(table)
-        s_nb = np.zeros_like(table)
-        kernels.numpy_impl["scatter_add_rows"](s_np, flat, rows)
-        kernels.numba_impl["scatter_add_rows"](s_nb, flat, rows)
-        assert (s_np == s_nb).all()
+    def loss():
+        return (ad.embedding(table, a) * pa).sum() + (ad.embedding(table, b) * pb).sum()
 
-        p_np = kernels.numpy_impl["pad_segments"](flat, offsets, 12)
-        p_nb = kernels.numba_impl["pad_segments"](flat, offsets, 12)
-        assert (p_np[0] == p_nb[0]).all() and (p_np[1] == p_nb[1]).all()
+    assert ad.finite_difference_check(loss, [table]) < 1e-7
+    want = np.zeros_like(table.data)
+    np.add.at(want, a, pa)
+    np.add.at(want, b.reshape(-1), pb.reshape(-1, 3))
+    assert np.allclose(table.grad, want, rtol=0, atol=1e-12)
+
+
+def test_select_backwards_match_add_at():
+    rng = np.random.default_rng(9)
+    x = ad.Parameter("x", rng.normal(size=(6, 4)), "base")
+    idx, cols = np.array([5, 0, 5, 2, 5]), np.array([3, 0, 1, 1, 2, 0])
+    g_rows, g_cols = rng.normal(size=(5, 4)), rng.normal(size=6)
+    for op, arg, g, where in ((ad.select_rows, idx, g_rows, idx),
+                              (ad.select_columns, cols, g_cols, (np.arange(6), cols))):
+        x.zero_grad()
+        with ad.Tape() as tape:
+            loss = (op(x, arg) * g).sum()
+        tape.backward(loss)
+        want = np.zeros_like(x.data)
+        np.add.at(want, where, g)
+        assert_bits(x.grad, want)
 
 
 def test_segment_mean_empty_segment_is_zero():
