@@ -352,9 +352,14 @@ def open_text(path):
     """Open a UTF-8 text file for reading. Inside the block, bytes that are
     not UTF-8, and every DatasetParseError raised without a path, become a
     DatasetParseError naming the file; so does a rankfuse binary container
-    given where a text file belongs."""
+    given where a text file belongs, and a path that cannot be opened (a
+    missing file, a directory)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as e:
+        raise DatasetParseError(None, f"cannot be read ({e.strerror})", path=path) from None
+    try:
+        with fh:
             if fh.buffer.peek(len(ZIP_MAGIC)).startswith(ZIP_MAGIC):
                 raise DatasetParseError(
                     None, "is a rankfuse binary container (a checkpoint or an index), not a text file"
@@ -432,10 +437,14 @@ def write_dataset(samples: list[Sample], path: str) -> None:
 
 
 def _parse_int(text: str, what: str, line_no: int, allowed=None) -> int:
+    """An int in the writer's own form: ASCII digits, no sign but `-`, no
+    leading zero, space or underscore (`int()` alone takes `+7` or `01`)."""
     try:
         v = int(text)
     except ValueError:
-        raise DatasetParseError(line_no, f"bad {what} {text!r}") from None
+        v = None
+    if v is None or str(v) != text:
+        raise DatasetParseError(line_no, f"bad {what} {text!r}")
     if allowed is not None and v not in allowed:
         raise DatasetParseError(line_no, f"{what} {v} outside {sorted(allowed)}")
     return v
@@ -454,7 +463,8 @@ def _history_ids(line: str, line_no: int, n_entries: int) -> list[int]:
         ids = list(map(int, line.split(" "))) if line else []
     except ValueError:
         ids = None
-    if ids is None or (ids and (min(ids) < 0 or max(ids) >= n_entries)):
+    if ids is None or (ids and (min(ids) < 0 or max(ids) >= n_entries
+                                or " ".join(map(str, ids)) != line)):
         # the slow path names the first bad id
         ids = [_parse_id(x, "entry id", line_no, n_entries) for x in line.split(" ")]
     return ids

@@ -625,3 +625,15 @@ def test_rank_parse_errors_name_the_file(pipe, ranked_model, tmp_path, capsys):
         capsys.readouterr()
         assert main(rank + files + ["--out-dir", str(tmp_path / f"o{n}")]) == 1
         assert f"error: {path}: {where}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,reason", [("dir", "Is a directory"), ("missing", "No such file")])
+def test_unreadable_config_exits_1(tmp_path, capsys, kind, reason):
+    config = tmp_path if kind == "dir" else tmp_path / "absent.cfg"
+    capsys.readouterr()
+    code = main(["gen-data", "--config", str(config), "--out-dir", str(tmp_path / "o")] + GEN_FLAGS)
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {config}: "), lines
+    assert reason in lines[0]
+    assert not (tmp_path / "o").exists()

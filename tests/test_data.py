@@ -218,11 +218,17 @@ def test_bad_field_values_rejected(tmp_path):
     dt.write_dataset(samples, str(path))
     lines = path.read_text().splitlines()
     last = len(lines) - 1  # the last impression row
-    for name, col, value in (("rsl.tsv", 6, "7"),  # rsl outside 1..4
-                             ("caret.tsv", 3, "has^caret")):
+    bad = [("rsl.tsv", 6, "7"),  # rsl outside 1..4
+           ("caret.tsv", 3, "has^caret")]
+    # an int read back must be in the writer's own form
+    for n, (user, click) in enumerate(zip(("+7", "07", "1_0", " 7", "7 ", "\uff17", "-0"),
+                                          ("+1", "01", "0_1", " 1", "1 ", "\uff11", "-0"))):
+        bad += [(f"user{n}.tsv", 0, user), (f"click{n}.tsv", 7, click)]
+    for name, col, value in bad:
         parts = lines[last].split("\t")
         parts[col] = value
-        (tmp_path / name).write_text("\n".join(lines[:last] + ["\t".join(parts)]) + "\n")
+        (tmp_path / name).write_text("\n".join(lines[:last] + ["\t".join(parts)]) + "\n",
+                                     encoding="utf-8")
         with pytest.raises(DatasetParseError) as err:
             dt.read_dataset(str(tmp_path / name))
         assert err.value.line_no == last + 1
@@ -318,6 +324,10 @@ def test_small_file_reads_and_rewrites(tmp_path):
     ("\t1\t4\t0\t1\n", "\t1\t4\t0\t2\n", 7, "history_id 2 outside 0..1"),
     ("\t1\t4\t0\t1\n", "\t1\t5\t0\t1\n", 7, "rsl 5 outside"),
     ("\t1\t4\t0\t1\n", "\t1\t4\t0\n", 7, "expected 9 columns"),
+    # ints in any form but the writer's own
+    ("entries=2", "entries=02", 1, "bad entries '02'"),
+    ("0 1\n", "0 01\n", 4, "bad entry id '01'"),
+    ("0 1\n", "+0 1\n", 4, "bad entry id '+0'"),
 ])
 def test_table_errors_name_the_line(tmp_path, old, new, line, words):
     assert old in SMALL_FILE
