@@ -31,7 +31,6 @@ ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = ROOT / "tests" / "golden" / "digests.json"
 REGENERATE = "python tests/test_golden_artifacts.py --regenerate"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-ENCODER_FLAGS = ("--d", "16", "--d-raw", "32", "--encoder-batch-size", "256")
 TRAIN_FLAGS = (
     "--d", "16", "--batch-size", "512", "--stage1-epochs", "1", "--stage2-epochs", "2",
     "--lr-stage1", "0.1", "--lr-base", "0.1", "--lr-rsl-finetune", "0.01", "--lr-prim", "0.1",
@@ -58,10 +57,10 @@ def run_pipeline(work: Path) -> None:
     run("gen-data", "--out-dir", data, "--seed", "3", "--n-impressions", "3000",
         "--n-users", "40", "--n-items", "300", "--n-queries", "60")
     train, test = data / "train.tsv", data / "test.tsv"
-    run("encoder", "pretrain", "--train-file", train, "--out-dir", pre, *ENCODER_FLAGS,
-        "--encoder-epochs", "2")
+    run("encoder", "pretrain", "--train-file", train, "--out-dir", pre, "--d", "16",
+        "--d-raw", "32", "--encoder-epochs", "2")
     run("encoder", "finetune", "--checkpoint", pre / "encoder.ckpt", "--train-file", train,
-        "--out-dir", fine, "--encoder-batch-size", "256", "--finetune-epochs", "1")
+        "--out-dir", fine, "--finetune-epochs", "1")
     run("encoder", "build-index", "--checkpoint", fine / "encoder.ckpt", "--out-dir", idx,
         *[a for s in ("train", "validation", "test") for a in ("--dataset-file", data / f"{s}.tsv")])
     index = idx / "index.tsv"
