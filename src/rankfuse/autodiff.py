@@ -193,8 +193,10 @@ def _accum(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a copy, since g may be a view of another tensor's buffer
+        t.grad = np.array(np.broadcast_to(g, t.data.shape), dtype=np.float64)
+    else:
+        t.grad += g
 
 
 def _grad_buf(t: Tensor) -> np.ndarray:
