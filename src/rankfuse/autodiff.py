@@ -190,6 +190,8 @@ def _make(out_data, parents: Sequence[Tensor], fn) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray):
+    # a primitive with two or more operands tests requires_grad itself before
+    # computing g, so that a constant operand costs no gradient work
     if not t.requires_grad:
         return
     if t.grad is None:
@@ -225,8 +227,10 @@ def add(a, b) -> Tensor:
     out_data = a.data + b.data
 
     def fn(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
     return _make(out_data, (a, b), fn)
 
@@ -236,8 +240,10 @@ def mul(a, b) -> Tensor:
     out_data = a.data * b.data
 
     def fn(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(out_data, (a, b), fn)
 
@@ -254,18 +260,20 @@ def matmul(a, b) -> Tensor:
 
     def fn(g):
         ad, bd = a.data, b.data
-        if ad.ndim == 1 and bd.ndim == 2:  # (k,) @ (k,n) -> (n,)
-            _accum(a, g @ bd.T)
-            _accum(b, np.outer(ad, g))
-        elif ad.ndim == 2 and bd.ndim == 1:  # (m,k) @ (k,) -> (m,)
-            _accum(a, np.outer(g, bd))
-            _accum(b, ad.T @ g)
-        elif ad.ndim == 2 and bd.ndim == 2:
-            _accum(a, g @ bd.T)
-            _accum(b, ad.T @ g)
-        else:  # 1D @ 1D -> scalar
-            _accum(a, g * bd)
-            _accum(b, g * ad)
+        if a.requires_grad:
+            if ad.ndim == 2 and bd.ndim == 1:  # (m,k) @ (k,) -> (m,)
+                _accum(a, np.outer(g, bd))
+            elif bd.ndim == 2:  # (k,) or (m,k) @ (k,n)
+                _accum(a, g @ bd.T)
+            else:  # 1D @ 1D -> scalar
+                _accum(a, g * bd)
+        if b.requires_grad:
+            if ad.ndim == 1 and bd.ndim == 2:  # (k,) @ (k,n) -> (n,)
+                _accum(b, np.outer(ad, g))
+            elif ad.ndim == 2:  # (m,k) @ (k,) or (k,n)
+                _accum(b, ad.T @ g)
+            else:  # 1D @ 1D -> scalar
+                _accum(b, g * ad)
 
     return _make(out_data, (a, b), fn)
 
@@ -329,9 +337,9 @@ def tsum(x, axis=None) -> Tensor:
 
     def fn(g):
         if axis is None:
-            _accum(x, np.broadcast_to(g, x.data.shape).copy())
+            _accum(x, np.broadcast_to(g, x.data.shape))
         else:
-            _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy())
+            _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape))
 
     return _make(out_data, (x,), fn)
 
@@ -345,9 +353,9 @@ def tmean(x, axis=None) -> Tensor:
 
     def fn(g):
         if axis is None:
-            _accum(x, np.broadcast_to(g / count, x.data.shape).copy())
+            _accum(x, np.broadcast_to(g / count, x.data.shape))
         else:
-            _accum(x, np.broadcast_to(np.expand_dims(g / count, axis), x.data.shape).copy())
+            _accum(x, np.broadcast_to(np.expand_dims(g / count, axis), x.data.shape))
 
     return _make(out_data, (x,), fn)
 
@@ -372,7 +380,8 @@ def concat(tensors: Sequence, axis: int = -1) -> Tensor:
 
     def fn(g):
         for t, piece in zip(ts, np.split(g, splits, axis=axis)):
-            _accum(t, piece)
+            if t.requires_grad:
+                _accum(t, piece)
 
     return _make(out_data, ts, fn)
 
@@ -480,8 +489,10 @@ def kl_divergence(p, q) -> Tensor:
     out_data = np.where(support, pd * (np.log(ps) - np.log(qs)), 0.0).sum()
 
     def fn(g):
-        _accum(q, g * np.where(support, -pd / qs, 0.0))
-        _accum(p, g * np.where(support, np.log(ps) - np.log(qs) + 1.0, 0.0))
+        if q.requires_grad:
+            _accum(q, g * np.where(support, -pd / qs, 0.0))
+        if p.requires_grad:
+            _accum(p, g * np.where(support, np.log(ps) - np.log(qs) + 1.0, 0.0))
 
     return _make(out_data, (p, q), fn)
 
@@ -601,8 +612,10 @@ def attn_scores(q, k) -> Tensor:
     out_data = np.einsum("bhe,blhe->bhl", q.data, k.data)
 
     def fn(g):
-        _accum(q, np.einsum("bhl,blhe->bhe", g, k.data))
-        _accum(k, np.einsum("bhl,bhe->blhe", g, q.data))
+        if q.requires_grad:
+            _accum(q, np.einsum("bhl,blhe->bhe", g, k.data))
+        if k.requires_grad:
+            _accum(k, np.einsum("bhl,bhe->blhe", g, q.data))
 
     return _make(out_data, (q, k), fn)
 
@@ -621,10 +634,41 @@ def attn_mix(w, v) -> Tensor:
     out_data = np.einsum("bhl,blhe->bhe", w.data, v.data)
 
     def fn(g):
-        _accum(w, np.einsum("bhe,blhe->bhl", g, v.data))
-        _accum(v, np.einsum("bhl,bhe->blhe", w.data, g))
+        if w.requires_grad:
+            _accum(w, np.einsum("bhe,blhe->bhl", g, v.data))
+        if v.requires_grad:
+            _accum(v, np.einsum("bhl,bhe->blhe", w.data, g))
 
     return _make(out_data, (w, v), fn)
+
+
+def head_project(x, w, transpose: bool = False) -> Tensor:
+    """Each head's rows times its own column block of w[d, h*e], head h
+    owning columns h*e:(h+1)*e: out[b,h] = x[b,h] @ w_h, taking x[b,h,d] to
+    [b,h,e]; with transpose, out[b,h] = x[b,h] @ w_h.T, taking x[b,h,e] to
+    [b,h,d]."""
+    x, w = _as_tensor(x), _as_tensor(w)
+    if x.data.ndim != 3 or w.data.ndim != 2:
+        raise DimensionError("head_project expects x[b,h,*], w[d,h*e]")
+    h = x.data.shape[1]
+    d, width = w.data.shape
+    if width % h or x.data.shape[2] != (width // h if transpose else d):
+        raise DimensionError(f"head_project shape mismatch: {x.data.shape} vs {w.data.shape}")
+    wh = w.data.reshape(d, h, width // h).transpose(1, 0, 2)  # [h, d, e]
+    xh = x.data.transpose(1, 0, 2)  # [h, b, *]
+    out_data = (xh @ (wh.transpose(0, 2, 1) if transpose else wh)).transpose(1, 0, 2)
+
+    def fn(g):
+        gh = g.transpose(1, 0, 2)
+        if x.requires_grad:
+            _accum(x, (gh @ (wh if transpose else wh.transpose(0, 2, 1))).transpose(1, 0, 2))
+        if w.requires_grad:
+            # dw_h = x_h.T @ g_h, or g_h.T @ x_h for the transposed product
+            a, c = (gh, xh) if transpose else (xh, gh)
+            dwh = a.transpose(0, 2, 1) @ c  # [h, d, e]
+            _accum(w, dwh.transpose(1, 0, 2).reshape(d, width))
+
+    return _make(out_data, (x, w), fn)
 
 
 # ---------------------------------------------------------------------------

@@ -413,10 +413,7 @@ def _read_user_context(path) -> tuple[int, list[tuple[str, str]]]:
         lines = fh.read().splitlines()
         if not lines or not lines[0].startswith("user_id="):
             raise DatasetParseError(1, "expected first line user_id=<int>")
-        try:
-            user_id = int(lines[0][len("user_id="):])
-        except ValueError:
-            raise DatasetParseError(1, f"bad user id: {lines[0]!r}") from None
+        user_id = dt.parse_int(lines[0][len("user_id="):], "user id", 1)
         history = []
         for line_no, line in enumerate(lines[1:], start=2):
             if not line.strip():
@@ -439,10 +436,7 @@ def _read_candidates(path) -> list[tuple[int, str]]:
             parts = line.split("\t")
             if len(parts) != 2 or not parts[1]:
                 raise DatasetParseError(line_no, "candidate line must be <item_id>\\t<item_text>")
-            try:
-                out.append((int(parts[0]), parts[1]))
-            except ValueError:
-                raise DatasetParseError(line_no, f"bad item id: {parts[0]!r}") from None
+            out.append((dt.parse_int(parts[0], "item id", line_no), parts[1]))
     if not out:
         raise ValidationError("candidates file has no candidates")
     return out

@@ -436,7 +436,7 @@ def write_dataset(samples: list[Sample], path: str) -> None:
         fh.writelines(row + "\n" for row in rows)
 
 
-def _parse_int(text: str, what: str, line_no: int, allowed=None) -> int:
+def parse_int(text: str, what: str, line_no: int, allowed=None) -> int:
     """An int in the writer's own form: ASCII digits, no sign but `-`, no
     leading zero, space or underscore (`int()` alone takes `+7` or `01`)."""
     try:
@@ -451,7 +451,7 @@ def _parse_int(text: str, what: str, line_no: int, allowed=None) -> int:
 
 
 def _parse_id(text: str, what: str, line_no: int, count: int) -> int:
-    v = _parse_int(text, what, line_no)
+    v = parse_int(text, what, line_no)
     if not 0 <= v < count:
         raise DatasetParseError(line_no, f"{what} {v} outside 0..{count - 1}")
     return v
@@ -492,7 +492,7 @@ def _parse_header(line: str) -> tuple[int, int]:
         name, _, value = part.partition("=")
         if name != key:
             raise DatasetParseError(1, f"expected {key}=<count>, got {part!r}")
-        n = _parse_int(value, key, 1)
+        n = parse_int(value, key, 1)
         if n < 0:
             raise DatasetParseError(1, f"negative {key} count {n}")
         counts.append(n)
@@ -551,14 +551,14 @@ def read_dataset(path: str) -> list[Sample]:
                     texts[text] = text
             samples.append(
                 Sample(
-                    user_id=_parse_int(user_id, "user_id", line_no),
+                    user_id=parse_int(user_id, "user_id", line_no),
                     query_text=texts[qtext],
-                    item_id=_parse_int(item_id, "item_id", line_no),
+                    item_id=parse_int(item_id, "item_id", line_no),
                     item_text=texts[itext],
-                    category_match=_parse_int(cm, "category_match", line_no, {0, 1}),
-                    contains_query=_parse_int(cq, "contains_query", line_no, {0, 1}),
-                    rsl=_parse_int(rsl, "rsl", line_no, {1, 2, 3, 4}),
-                    click=_parse_int(click, "click", line_no, {0, 1}),
+                    category_match=parse_int(cm, "category_match", line_no, {0, 1}),
+                    contains_query=parse_int(cq, "contains_query", line_no, {0, 1}),
+                    rsl=parse_int(rsl, "rsl", line_no, {1, 2, 3, 4}),
+                    click=parse_int(click, "click", line_no, {0, 1}),
                     history=histories[_parse_id(hist, "history_id", line_no, n_histories)],
                 )
             )

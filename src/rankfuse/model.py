@@ -17,7 +17,8 @@ inputs, never trained here).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -288,9 +289,22 @@ class Batch:
     rsl: np.ndarray
     group_keys: np.ndarray
     hist_rows: np.ndarray
-    hist_q_emb: np.ndarray
-    hist_r_emb: np.ndarray
     hist_mask: np.ndarray
+    # [m, L] positions in the cache's history entry arrays, 0 in padding
+    hist_slots: np.ndarray
+    cache: "TrainingCache" = field(repr=False)
+
+    # Only the full variant's attention reads the two [m, L, d] history
+    # tensors, so they are gathered on first access.
+    @cached_property
+    def hist_q_emb(self) -> np.ndarray:
+        """Text embeddings of each history entry's query, [m, L, d]."""
+        return self.cache.text_mat[self.cache.hist_q_rows[self.hist_slots]]
+
+    @cached_property
+    def hist_r_emb(self) -> np.ndarray:
+        """Pair embeddings of each history entry, [m, L, d]."""
+        return self.cache.pair_mat[self.cache.hist_r_rows[self.hist_slots]]
 
 
 def _flatten_bags(bags: list[list[int]], rows: np.ndarray):
@@ -306,8 +320,9 @@ class TrainingCache:
 
     Unique texts and pairs are looked up once (sorted order, so encoder
     fallbacks are deterministic); per-sample rows then index into the two
-    embedding matrices. Each distinct history is stored once, ragged, and
-    padded per batch.
+    embedding matrices. Each distinct history is stored once, ragged; a batch
+    pads its histories' entry positions and gathers their embeddings only
+    when read.
     """
 
     def __init__(self, samples: list[Sample], index: EmbeddingIndex, config: ModelConfig):
@@ -380,26 +395,12 @@ class TrainingCache:
         hist = self.hist_of[rows]
         lens = self.hist_off[hist + 1] - self.hist_off[hist]
         hist_rows = np.nonzero(lens > 0)[0].astype(np.int64)
-        if hist_rows.size:
-            width = int(lens.max())
-            sub = hist[hist_rows]
-            flat_q = np.concatenate(
-                [self.hist_q_rows[self.hist_off[r] : self.hist_off[r + 1]] for r in sub]
-            )
-            flat_r = np.concatenate(
-                [self.hist_r_rows[self.hist_off[r] : self.hist_off[r + 1]] for r in sub]
-            )
-            off = np.zeros(sub.size + 1, dtype=np.int64)
-            np.cumsum(lens[hist_rows], out=off[1:])
-            pad_q, mask = kernels.pad_segments(flat_q, off, width)
-            pad_r, _ = kernels.pad_segments(flat_r, off, width)
-            hist_q_emb = self.text_mat[pad_q]
-            hist_r_emb = self.pair_mat[pad_r]
-        else:
-            d = self.config.d
-            hist_q_emb = np.zeros((0, 0, d))
-            hist_r_emb = np.zeros((0, 0, d))
-            mask = np.zeros((0, 0), dtype=bool)
+        starts, lens = self.hist_off[hist[hist_rows]], lens[hist_rows]
+        off = np.zeros(hist_rows.size + 1, dtype=np.int64)
+        np.cumsum(lens, out=off[1:])
+        # entry t of the batch's k-th history sits at starts[k] + t
+        flat = np.repeat(starts - off[:-1], lens) + np.arange(off[-1])
+        slots, mask = kernels.pad_segments(flat, off, int(lens.max(initial=0)))
 
         return Batch(
             size=rows.size,
@@ -419,9 +420,9 @@ class TrainingCache:
             rsl=self.rsl[rows],
             group_keys=self.group_keys[rows],
             hist_rows=hist_rows,
-            hist_q_emb=hist_q_emb,
-            hist_r_emb=hist_r_emb,
             hist_mask=mask,
+            hist_slots=slots,
+            cache=self,
         )
 
 
@@ -494,24 +495,30 @@ def _split_heads(x: ad.Tensor, h: int) -> ad.Tensor:
     return ad.reshape(x, (b, h, d // h))
 
 
-def _attention_parts(
+def _per_head(x: np.ndarray, h: int) -> ad.Tensor:
+    """A constant [b, L, d] history input as the [b, L, h, d] view that
+    attn_scores and attn_mix take, every head seeing the whole row."""
+    b, L, d = x.shape
+    return ad.Tensor(np.broadcast_to(x[:, :, None, :], (b, L, h, d)))
+
+
+def _attention_softmax(
     attn: AttentionParams,
     q_cur: np.ndarray,
     hist_q: np.ndarray,
-    hist_r: np.ndarray,
     mask: np.ndarray,
-) -> tuple[ad.Tensor, ad.Tensor, int, int]:
+) -> ad.Tensor:
+    """Attention weights [B, h, L], scored in embedding space: head h's
+    score of slot l is (q_h W_k,h^T) . x_q[l] / sqrt(e), which equals
+    q_h . (x_q[l] W_k,h) / sqrt(e) without projecting any slot."""
     if hist_q.shape[0] == 0:
         raise ValidationError("attention needs at least one history entry")
     h = attn.head_count
-    b, L, d = hist_q.shape
-    e = d // h
+    e = hist_q.shape[2] // h
     q = _split_heads(ad.matmul(ad.Tensor(q_cur), attn.w_q), h)
-    k = ad.reshape(ad.matmul(ad.Tensor(hist_q.reshape(b * L, d)), attn.w_k), (b, L, h, e))
-    v = ad.reshape(ad.matmul(ad.Tensor(hist_r.reshape(b * L, d)), attn.w_v), (b, L, h, e))
-    scores = ad.mul(ad.attn_scores(q, k), 1.0 / np.sqrt(e))
-    weights = ad.softmax(scores, mask=np.broadcast_to(mask[:, None, :], scores.data.shape))
-    return weights, v, b, d
+    q_keys = ad.head_project(q, attn.w_k, transpose=True)  # [B, h, d]
+    scores = ad.mul(ad.attn_scores(q_keys, _per_head(hist_q, h)), 1.0 / np.sqrt(e))
+    return ad.softmax(scores, mask=np.broadcast_to(mask[:, None, :], scores.data.shape))
 
 
 def attention_expectation(
@@ -522,9 +529,19 @@ def attention_expectation(
     mask: np.ndarray,
 ) -> ad.Tensor:
     """Target attention over history: softmax(QK^T/sqrt(e)) mixing projected
-    relevance embeddings. Returns [B, d]."""
-    weights, v, b, d = _attention_parts(attn, q_cur, hist_q, hist_r, mask)
-    return ad.reshape(ad.attn_mix(weights, v), (b, d))
+    relevance embeddings. Returns [B, d].
+
+    Each head mixes the raw relevance embeddings first and projects the mix
+    with its block of W_v after, (sum_l w_l x_r[l]) W_v,h, so no [B, L, d]
+    array is projected or carries a gradient."""
+    h = attn.head_count
+    b, _, d = hist_r.shape
+    weights = _attention_softmax(attn, q_cur, hist_q, mask)
+    mixed = ad.attn_mix(weights, _per_head(hist_r, h))  # [B, h, d]
+    if h == 1:
+        # a plain GEMM, so a one-entry history gives x_r W_v bit for bit
+        return ad.matmul(ad.reshape(mixed, (b, d)), attn.w_v)
+    return ad.reshape(ad.head_project(mixed, attn.w_v), (b, d))
 
 
 def attention_weights(
@@ -535,9 +552,10 @@ def attention_weights(
     mask: np.ndarray,
 ) -> np.ndarray:
     """Attention distribution per (row, head) over history slots, [B, h, L].
-    Masked slots carry exactly zero weight."""
-    weights, _, _, _ = _attention_parts(attn, q_cur, hist_q, hist_r, mask)
-    return weights.data
+    Masked slots carry exactly zero weight. hist_r does not enter the
+    weights; it stays in the signature, which matches
+    attention_expectation's."""
+    return _attention_softmax(attn, q_cur, hist_q, mask).data
 
 
 def prim_tau_batch(params: ModelParams, batch: Batch) -> ad.Tensor:

@@ -354,6 +354,46 @@ def test_grad_attention_primitives():
     v = _param(rng, (2, 4, 2, 3), "v")
     proj2 = ad.Tensor(rng.normal(size=(2, 2, 3)))
     _fd(lambda: (ad.attn_mix(w, v) * proj2).sum(), [w, v])
+    for heads, transpose in ((1, True), (2, False), (2, True), (3, True)):
+        x = _param(rng, (2, heads, 2 if transpose else 6), "x")
+        wt = _param(rng, (6, 2 * heads), "wt")
+        proj3 = ad.Tensor(rng.normal(size=(2, heads, 6 if transpose else 2)))
+        _fd(lambda: (ad.head_project(x, wt, transpose) * proj3).sum(), [x, wt])
+
+
+def test_head_project_is_per_head_block_product():
+    rng = np.random.default_rng(23)
+    x, w = rng.normal(size=(4, 3, 5)), rng.normal(size=(5, 6))
+    out = ad.head_project(x, w).data
+    for h in range(3):
+        assert np.allclose(out[:, h], x[:, h] @ w[:, 2 * h : 2 * h + 2], rtol=0, atol=1e-13)
+    back = ad.head_project(out, w, transpose=True).data
+    for h in range(3):
+        assert np.allclose(back[:, h], out[:, h] @ w[:, 2 * h : 2 * h + 2].T, rtol=0, atol=1e-13)
+    with pytest.raises(DimensionError):
+        ad.head_project(x, rng.normal(size=(5, 7)))
+
+
+def test_constant_operands_get_no_gradient(monkeypatch):
+    # only the tracked operand's gradient is formed: a constant's .grad stays
+    # None, and each attention backward runs one einsum, not two
+    rng = np.random.default_rng(24)
+    x = ad.Tensor(rng.normal(size=(3, 4)))
+    w = _param(rng, (4, 2), "w")
+    q = _param(rng, (3, 2, 4), "q")
+    k = ad.Tensor(rng.normal(size=(3, 5, 2, 4)))
+    mix = _param(rng, (3, 2, 5), "mix")
+    einsums = []
+    real_einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *a, **kw: einsums.append(a[0]) or real_einsum(*a, **kw))
+    with ad.Tape() as tape:
+        loss = (ad.matmul(x, w).sum() + ad.attn_scores(q, k).sum()
+                + ad.attn_mix(mix, k).sum())
+    forward = len(einsums)
+    tape.backward(loss)
+    assert x.grad is None and k.grad is None
+    assert w.grad.any() and q.grad.any() and mix.grad.any()
+    assert len(einsums) - forward == 2
 
 
 def test_grad_kl_both_sides():

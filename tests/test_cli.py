@@ -616,15 +616,27 @@ def test_rank_parse_errors_name_the_file(pipe, ranked_model, tmp_path, capsys):
     bad_user.write_text("who=4\n", encoding="utf-8")
     bad_cands = tmp_path / "noid.txt"
     bad_cands.write_text("1\tgood item\nx\tbad id\n", encoding="utf-8")
+    # ids only in the form the writer gives them: `int()` alone takes these
+    signed_user = tmp_path / "signed.txt"
+    signed_user.write_text("user_id=+29\n", encoding="utf-8")
+    zero_cands = tmp_path / "zeros.txt"
+    zero_cands.write_text("00\tgood item\n", encoding="utf-8")
+    padded_cands = tmp_path / "padded.txt"
+    padded_cands.write_text("1\tgood item\n02\tother item\n", encoding="utf-8")
     rank = ["rank", "--checkpoint", str(ranked_model), "--index", str(pipe["index"]),
             "--query", query]
-    for n, (files, path, where) in enumerate((
-        (["--user-file", str(bad_user), "--candidates-file", str(cands)], bad_user, "line 1"),
-        (["--user-file", str(user_file), "--candidates-file", str(bad_cands)], bad_cands, "line 2"),
+    for n, (user, cand, path, where) in enumerate((
+        (bad_user, cands, bad_user, "line 1"),
+        (user_file, bad_cands, bad_cands, "line 2"),
+        (signed_user, cands, signed_user, "line 1"),
+        (user_file, zero_cands, zero_cands, "line 1"),
+        (user_file, padded_cands, padded_cands, "line 2"),
     )):
         capsys.readouterr()
+        files = ["--user-file", str(user), "--candidates-file", str(cand)]
         assert main(rank + files + ["--out-dir", str(tmp_path / f"o{n}")]) == 1
-        assert f"error: {path}: {where}: " in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: {where}: "), err
 
 
 @pytest.mark.parametrize("kind,reason", [("dir", "Is a directory"), ("missing", "No such file")])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankfuse import autodiff as ad
 from rankfuse import encoder as enc
@@ -383,6 +385,58 @@ def test_attention_rejects_empty_history():
     for pad in (0, 2):
         with pytest.raises(ValidationError):
             _attend(attn, q_cur, np.zeros((0, 4)), np.zeros((0, 4)), pad=pad)
+
+
+def _projected_attention(attn, q_cur, hist_q, hist_r, mask):
+    """Reference in the projected form: every slot's key x_q W_k and value
+    x_r W_v, a masked softmax per head, then the mix. Returns (weights
+    [b, h, L], expectation [b, d])."""
+    h = attn.head_count
+    b, L, d = hist_q.shape
+    e = d // h
+    q = (q_cur @ attn.w_q.data).reshape(b, h, e)
+    k = (hist_q.reshape(b * L, d) @ attn.w_k.data).reshape(b, L, h, e)
+    v = (hist_r.reshape(b * L, d) @ attn.w_v.data).reshape(b, L, h, e)
+    scores = np.where(mask[:, None, :], np.einsum("bhe,blhe->bhl", q, k) / np.sqrt(e), -np.inf)
+    w = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    w /= w.sum(axis=-1, keepdims=True)
+    return w, np.einsum("bhl,blhe->bhe", w, v).reshape(b, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(head_count=st.sampled_from([1, 2, 4]), e=st.integers(1, 5), b=st.integers(1, 6),
+       width=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_attention_matches_projected_form(head_count, e, b, width, seed):
+    rng = np.random.default_rng(seed)
+    d = head_count * e
+    attn = _attn(d, seed=seed, head_count=head_count)
+    mask = np.arange(width)[None, :] < rng.integers(1, width + 1, size=b)[:, None]
+    # padded slots hold noise, which must get no weight
+    q_cur = rng.normal(size=(b, d))
+    hist_q, hist_r = rng.normal(size=(2, b, width, d))
+    w_ref, out_ref = _projected_attention(attn, q_cur, hist_q, hist_r, mask)
+    w = md.attention_weights(attn, q_cur, hist_q, hist_r, mask)
+    out = md.attention_expectation(attn, q_cur, hist_q, hist_r, mask).data
+    assert w.shape == w_ref.shape and out.shape == (b, d)
+    assert np.abs(w - w_ref).max() < 1e-12
+    assert np.abs(out - out_ref).max() < 1e-12
+    assert np.all(w[~np.broadcast_to(mask[:, None, :], w.shape)] == 0.0)
+
+
+def test_attention_finite_difference_two_heads_with_padding():
+    d, width = 6, 4
+    attn = _attn(d, seed=16, head_count=2)
+    rng = np.random.default_rng(17)
+    lens = np.array([4, 2, 1])
+    mask = np.arange(width)[None, :] < lens[:, None]
+    q_cur = rng.normal(size=(3, d))
+    hist_q, hist_r = rng.normal(size=(2, 3, width, d))
+    proj = ad.Tensor(rng.normal(size=(3, d)))
+
+    def loss():
+        return ad.tsum(ad.mul(md.attention_expectation(attn, q_cur, hist_q, hist_r, mask), proj))
+
+    assert ad.finite_difference_check(loss, attn.params()) < 1e-6
 
 
 def test_incentive_neutral_and_range():

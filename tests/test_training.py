@@ -509,6 +509,28 @@ def test_no_prim_variant_trains_and_keeps_tau_trivial():
     assert np.array_equal(out["tau"].data, np.ones(64))
 
 
+def test_only_full_stage2_gathers_history_tensors(monkeypatch):
+    # the [m, L, d] history tensors are built on first access; stage 1, the
+    # accuracy pass and the variants without attention never touch them
+    def refuse(batch):
+        raise AssertionError("history tensor gathered")
+
+    monkeypatch.setattr(md.Batch, "hist_q_emb", property(refuse))
+    monkeypatch.setattr(md.Batch, "hist_r_emb", property(refuse))
+    tcfg = tr.TrainConfig(batch_size=64, stage1_epochs=1, stage2_epochs=1, seed=0)
+    cache, mcfg = small_corpus_cache(n_impressions=200)
+    assert cache.batch(np.arange(64)).hist_rows.size > 0
+    params, _ = tr.pretrain_rsl(cache, md.build_model(mcfg), tcfg)
+    tr.rsl_accuracy(cache, params)
+    for variant in ("no-prim", "base-only"):
+        mcfg = small_model_config(variant=variant)
+        cache, _ = small_corpus_cache(n_impressions=200, mcfg=mcfg)
+        tr.train_stage2(cache, md.build_model(mcfg), tcfg)
+    cache, mcfg = small_corpus_cache(n_impressions=200)
+    with pytest.raises(AssertionError, match="history tensor gathered"):
+        tr.train_stage2(cache, md.build_model(mcfg), tcfg)
+
+
 def test_risk_report_line_round_trip():
     r = tr.RiskReport(stage="stage2", epoch=3, batch=17, ctr_risk=0.25, regularizer=0.5, total=0.4)
     fields = r.to_line().split("\t")
