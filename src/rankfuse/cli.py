@@ -157,8 +157,7 @@ def cmd_encoder(args) -> int:
     if args.encoder_command == "pretrain":
         train_file = _require(args.train_file, "train split")
         inputs.append(train_file)
-        samples = dt.read_dataset(train_file)
-        pairs = [(s.query_text, s.item_text, s.click) for s in samples]
+        pairs = dt.read_dataset(train_file).labeled_pairs("click")
         params, trace = pretrain_encoder(pairs, cf.to_encoder_config(cfg))
         ckpt = out / "encoder.ckpt"
         save_encoder(params, ckpt)
@@ -189,8 +188,7 @@ def cmd_encoder(args) -> int:
         )
         from .encoder import EncoderConfig
 
-        samples = dt.read_dataset(train_file)
-        labeled = [(s.query_text, s.item_text, s.rsl) for s in samples]
+        labeled = dt.read_dataset(train_file).labeled_pairs("rsl")
         params, trace = finetune_encoder(params, labeled, EncoderConfig(**merged))
         ckpt = out / "encoder.ckpt"
         save_encoder(params, ckpt)
@@ -208,21 +206,16 @@ def cmd_encoder(args) -> int:
         raise ValidationError("build-index needs at least one --dataset-file")
     inputs.append(ckpt_in)
     params = load_encoder(ckpt_in)
+    # every text of the text table (history items too) and every pair of the
+    # rows and the entry table
     texts: set[str] = set()
     pairs: set[tuple[str, str]] = set()
-    histories: set[tuple] = set()
     for dataset_path in args.dataset_file:
         dataset_path = _require(dataset_path, "dataset file")
         inputs.append(dataset_path)
-        for s in dt.read_dataset(dataset_path):
-            texts.update([s.query_text, s.item_text])
-            pairs.add((s.query_text, s.item_text))
-            histories.add(tuple(s.history))
-    # rows share a history by value, so each distinct one is walked once
-    for history in histories:
-        for q, i in history:
-            texts.update([q, i])
-        pairs.update(history)
+        dataset = dt.read_dataset(dataset_path)
+        texts.update(dataset.texts)
+        pairs.update(dataset.pairs())
     index = build_index(params, sorted(texts), sorted(pairs), encoder_digest(params))
     index_path = out / "index.tsv"
     save_index(index, index_path)

@@ -8,17 +8,22 @@ manifest that the model-visible dataset never contains.
 
 Dataset files store each distinct click history once, in a history table
 that rows refer to by id (see write_dataset); the per-row format before it
-is refused with a message to re-run `rankfuse gen-data`.
+is refused with a message to re-run `rankfuse gen-data`. read_dataset
+returns a split as a columnar Dataset, which the training cache builds from
+without a Sample per row.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from . import kernels
 from .autodiff import np_sigmoid
 from .checkpoint import ZIP_MAGIC
 from .encoder import PAIR_KEY_SEP, tokenize
@@ -50,6 +55,7 @@ SIDECAR_COLUMNS = ("relevance", "quality", "sensitivity", "true_click_prob")
 FORBIDDEN_CHARS = ("\t", ";", "^", "\n", "\r", PAIR_KEY_SEP)
 # what a reader can still find inside a tab-separated field
 _FIELD_FORBIDDEN = (";", "^", PAIR_KEY_SEP)
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 _SYLLABLES = [c + v for c in "bdklmnprstvz" for v in "aeiou"]
 
@@ -105,6 +111,144 @@ class Sample:
     click: int
     history: list[tuple[str, str]] = field(default_factory=list)
     truth: GroundTruth | None = field(default=None, compare=False)
+
+
+class Dataset(Sequence):
+    """A dataset split as columns, which is also a read-only sequence of
+    Samples.
+
+    - `user_id`, `item_id`, `category_match`, `contains_query`, `rsl`,
+      `click` and `history_id`: one int64 array each, one value per row;
+    - `texts`: the distinct texts, and per row `query_text_id` and
+      `item_text_id` into them;
+    - the entry table as text ids `entry_query` and `entry_item`, and the
+      history table as CSR: history h holds the entry ids
+      `hist_entries[hist_off[h]:hist_off[h + 1]]`, newest first.
+
+    `ds[i]` builds row i's Sample on each access; rows that share a history
+    share one list, and histories that share an entry one tuple, so a
+    sample's `history` is read-only. A Dataset is not a list, whose elements
+    could be changed and drift from the columns; `==` compares it with any
+    list or tuple of Samples, and `+` gives a list.
+    """
+
+    def __init__(self, *, texts, query_text_id, item_text_id, entry_query, entry_item,
+                 hist_entries, hist_off, user_id, item_id, category_match, contains_query,
+                 rsl, click, history_id):
+        self.texts = texts
+        self.query_text_id, self.item_text_id = query_text_id, item_text_id
+        self.entry_query, self.entry_item = entry_query, entry_item
+        self.hist_entries, self.hist_off = hist_entries, hist_off
+        self.user_id, self.item_id = user_id, item_id
+        self.category_match, self.contains_query = category_match, contains_query
+        self.rsl, self.click, self.history_id = rsl, click, history_id
+        self._entries: list[tuple[str, str]] | None = None
+        self._histories: dict[int, list[tuple[str, str]]] = {}
+
+    @classmethod
+    def from_samples(cls, samples) -> "Dataset":
+        """The columns of a sequence of Samples; a Dataset is returned as it is.
+
+        A history list is looked up by identity first, so one that many
+        samples share is hashed once; equal histories get one id.
+        """
+        if isinstance(samples, Dataset):
+            return samples
+        text_id: dict[str, int] = {}
+        entry_id: dict[tuple[str, str], int] = {}
+        by_object: dict[int, int] = {}
+        by_value: dict[tuple, int] = {}
+        histories: list[list[int]] = []
+        rows = []
+        for s in samples:
+            h = by_object.get(id(s.history))
+            if h is None:
+                key = tuple(s.history)
+                h = by_value.get(key)
+                if h is None:
+                    h = by_value[key] = len(histories)
+                    histories.append([entry_id.setdefault(e, len(entry_id)) for e in key])
+                by_object[id(s.history)] = h
+            rows.append((
+                s.user_id, s.item_id, s.category_match, s.contains_query, s.rsl, s.click, h,
+                text_id.setdefault(s.query_text, len(text_id)),
+                text_id.setdefault(s.item_text, len(text_id)),
+            ))
+        entry_texts = [text_id.setdefault(t, len(text_id)) for entry in entry_id for t in entry]
+        try:
+            cols = np.array(rows, dtype=np.int64).reshape(-1, 9).T
+        except OverflowError:
+            raise ValidationError("a sample's id or label is outside the int64 range") from None
+        hist_entries, hist_off = kernels.ragged(histories)
+        entries = np.array(entry_texts, dtype=np.int64).reshape(-1, 2).T
+        return cls(
+            texts=list(text_id), query_text_id=cols[7], item_text_id=cols[8],
+            entry_query=entries[0], entry_item=entries[1],
+            hist_entries=hist_entries, hist_off=hist_off,
+            user_id=cols[0], item_id=cols[1], category_match=cols[2], contains_query=cols[3],
+            rsl=cols[4], click=cols[5], history_id=cols[6],
+        )
+
+    def __len__(self) -> int:
+        return self.user_id.shape[0]
+
+    def _history(self, h: int) -> list[tuple[str, str]]:
+        history = self._histories.get(h)
+        if history is None:
+            if self._entries is None:
+                t = self.texts
+                self._entries = [(t[q], t[i]) for q, i in
+                                 zip(self.entry_query.tolist(), self.entry_item.tolist())]
+            ids = self.hist_entries[self.hist_off[h] : self.hist_off[h + 1]].tolist()
+            history = self._histories[h] = [self._entries[e] for e in ids]
+        return history
+
+    def __iter__(self):
+        t = self.texts
+        cols = (self.user_id, self.query_text_id, self.item_id, self.item_text_id,
+                self.category_match, self.contains_query, self.rsl, self.click, self.history_id)
+        for u, q, i, it, cm, cq, rsl, click, h in zip(*(c.tolist() for c in cols)):
+            yield Sample(u, t[q], i, t[it], cm, cq, rsl, click, self._history(h))
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return [self[k] for k in range(*key.indices(len(self)))]
+        k = range(len(self))[key]  # IndexError outside, negative keys count from the end
+        t = self.texts
+        return Sample(
+            int(self.user_id[k]), t[self.query_text_id[k]], int(self.item_id[k]),
+            t[self.item_text_id[k]], int(self.category_match[k]), int(self.contains_query[k]),
+            int(self.rsl[k]), int(self.click[k]), self._history(int(self.history_id[k])),
+        )
+
+    def __eq__(self, other):
+        if isinstance(other, (Dataset, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __add__(self, other):
+        return list(self) + list(other)
+
+    def __radd__(self, other):
+        return list(other) + list(self)
+
+    def labeled_pairs(self, label: str) -> list[tuple[str, str, int]]:
+        """(query, item, label) per row, the label from the int column so named."""
+        t = self.texts
+        return list(zip(map(t.__getitem__, self.query_text_id.tolist()),
+                        map(t.__getitem__, self.item_text_id.tolist()),
+                        getattr(self, label).tolist()))
+
+    def pairs(self) -> list[tuple[str, str]]:
+        """The distinct (query, item) pairs of the rows and the entry table."""
+        n = len(self.texts)
+        keys = np.unique(np.concatenate([self.query_text_id * n + self.item_text_id,
+                                         self.entry_query * n + self.entry_item]))
+        t = self.texts
+        return [(t[q], t[i]) for q, i in zip((keys // n).tolist(), (keys % n).tolist())]
+
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +601,13 @@ def _parse_id(text: str, what: str, line_no: int, count: int) -> int:
     return v
 
 
+def _parse_int64(text: str, what: str, line_no: int) -> int:
+    v = parse_int(text, what, line_no)
+    if not _INT64_MIN <= v <= _INT64_MAX:
+        raise DatasetParseError(line_no, f"{what} {v} outside the int64 range")
+    return v
+
+
 def _history_ids(line: str, line_no: int, n_entries: int) -> list[int]:
     """The entry ids of one history-table line, each in 0..n_entries-1."""
     try:
@@ -499,70 +650,213 @@ def _parse_header(line: str) -> tuple[int, int]:
     return counts[0], counts[1]
 
 
-def _table_line(fh, line_no: int, table: str) -> str:
-    line = fh.readline()
-    if not line:
-        raise DatasetParseError(line_no, f"file ends inside the {table} table")
-    return line.rstrip("\n")
+# ---------------------------------------------------------------------------
+# the columnar reader
+#
+# Each part of the file has a fast path that checks and converts a whole
+# table at once, and returns None at the first sign of a fault; the
+# line-by-line path then runs over that table and raises the error of its
+# first faulty line, as a reader going down the file would.
 
 
-def read_dataset(path: str) -> list[Sample]:
-    """Inverse of write_dataset; truth fields come back as None.
+def _canonical_ids(fields: list[str], bound: int):
+    """(ids, ids per field) when every field is space-separated
+    non-negative ints in the writer's form (at most 18 digits), each below
+    bound; None otherwise."""
+    text = "\n".join(fields) + "\n"
+    if not text.isascii():
+        return None
+    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    digit = (b >= ord("0")) & (b <= ord("9"))
+    space = b == ord(" ")
+    newline = b == ord("\n")
+    if not (digit | space | newline).all():
+        return None
+    # a space only between two digits: no empty id, no edge or double space
+    # (the text ends with a newline, so b[sp + 1] exists, and b[-1] is no digit)
+    sp = np.flatnonzero(space)
+    if not (digit[sp - 1].all() and digit[sp + 1].all()):
+        return None
+    starts = np.flatnonzero(digit & ~np.concatenate(([False], digit[:-1])))
+    ends = np.flatnonzero(digit & ~np.concatenate((digit[1:], [False]))) + 1
+    lengths = ends - starts
+    if starts.size == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(len(fields), dtype=np.int64)
+    if lengths.max() > 18 or ((b[starts] == ord("0")) & (lengths > 1)).any():
+        return None
+    # each id is its digits times powers of ten, summed
+    pos = np.flatnonzero(digit)
+    power = 10 ** (np.repeat(ends, lengths) - 1 - pos)
+    first_digit = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    ids = np.add.reduceat((b[pos] - ord("0")).astype(np.int64) * power, first_digit)
+    if ids.max() >= bound:
+        return None
+    per_field = np.bincount(np.searchsorted(np.flatnonzero(newline), starts),
+                            minlength=len(fields))
+    return ids, per_field
 
-    Rows that share a history share one list object, and histories that
-    share an entry share one tuple, so a sample's `history` is read-only.
-    Every error names the file and its 1-based line.
-    """
-    samples = []
-    with open_text(path) as fh:
-        n_entries, n_histories = _parse_header(fh.readline())
-        line_no = 1
-        entries: list[tuple[str, str]] = []
-        for _ in range(n_entries):
-            line_no += 1
-            line = _table_line(fh, line_no, "entry")
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise DatasetParseError(line_no, f"bad history entry {line!r}")
-            for text, what in zip(parts, ("history query", "history item")):
-                _check_field(text, what, line_no)
-            entries.append((parts[0], parts[1]))
-        histories: list[list[tuple[str, str]]] = []
-        for _ in range(n_histories):
-            line_no += 1
-            line = _table_line(fh, line_no, "history")
-            ids = _history_ids(line, line_no, n_entries)
-            if len(ids) > HISTORY_LIMIT:
+
+def _single_digits(fields: list[str], lo: int, hi: int):
+    """The values of one-digit fields, each in lo..hi; None otherwise."""
+    text = "".join(fields)
+    # no field empty and one char in all: every field is exactly one char
+    if len(text) != len(fields) or "" in fields or not text.isascii():
+        return None
+    v = np.frombuffer(text.encode("ascii"), dtype=np.uint8).astype(np.int64) - ord("0")
+    if v.size and (v.min() < lo or v.max() > hi):
+        return None
+    return v
+
+
+def _parse_entries(lines: list[str], first: int) -> tuple[list[str], list[str]]:
+    """(queries, items) of the entry table; lines[0] is line `first`."""
+    if list(map(str.count, lines, itertools.repeat("\t"))).count(1) == len(lines):
+        fields = "\t".join(lines).split("\t") if lines else []
+        if "" not in fields and not any(ch in "\n".join(lines) for ch in _FIELD_FORBIDDEN):
+            return fields[0::2], fields[1::2]
+    queries, items = [], []
+    for line_no, line in enumerate(lines, start=first):
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise DatasetParseError(line_no, f"bad history entry {line!r}")
+        for text, what in zip(parts, ("history query", "history item")):
+            _check_field(text, what, line_no)
+        queries.append(parts[0])
+        items.append(parts[1])
+    return queries, items
+
+
+def _parse_histories(lines: list[str], first: int, n_entries: int):
+    """The history table as CSR (entry ids, offsets); lines[0] is line `first`."""
+    fast = _canonical_ids(lines, n_entries)
+    if fast is None:
+        ids = []
+        for line_no, line in enumerate(lines, start=first):
+            ids.append(_history_ids(line, line_no, n_entries))
+            if len(ids[-1]) > HISTORY_LIMIT:
                 raise DatasetParseError(line_no, f"history longer than {HISTORY_LIMIT}")
-            histories.append([entries[e] for e in ids])
+        return kernels.ragged(ids)
+    # every id is good, so the first long line is the first fault
+    flat, lengths = fast
+    long = np.flatnonzero(lengths > HISTORY_LIMIT)
+    if long.size:
+        raise DatasetParseError(first + int(long[0]), f"history longer than {HISTORY_LIMIT}")
+    offsets = np.zeros(len(lines) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return flat, offsets
 
-        # one str object per distinct text, checked once
-        texts: dict[str, str] = {}
-        for line_no, line in enumerate(fh, start=line_no + 1):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != len(DATASET_COLUMNS):
-                raise DatasetParseError(
-                    line_no, f"expected {len(DATASET_COLUMNS)} columns, got {len(parts)}"
-                )
-            user_id, qtext, item_id, itext, cm, cq, rsl, click, hist = parts
-            for text, what in ((qtext, "query_text"), (itext, "item_text")):
-                if text not in texts:
-                    _check_field(text, what, line_no)
-                    texts[text] = text
-            samples.append(
-                Sample(
-                    user_id=parse_int(user_id, "user_id", line_no),
-                    query_text=texts[qtext],
-                    item_id=parse_int(item_id, "item_id", line_no),
-                    item_text=texts[itext],
-                    category_match=parse_int(cm, "category_match", line_no, {0, 1}),
-                    contains_query=parse_int(cq, "contains_query", line_no, {0, 1}),
-                    rsl=parse_int(rsl, "rsl", line_no, {1, 2, 3, 4}),
-                    click=parse_int(click, "click", line_no, {0, 1}),
-                    history=histories[_parse_id(hist, "history_id", line_no, n_histories)],
-                )
+
+def _one_id_each(fields: list[str], bound: int):
+    parsed = _canonical_ids(fields, bound)
+    return parsed[0] if parsed is not None and (parsed[1] == 1).all() else None
+
+
+def _rows_fast(lines: list[str], n_histories: int):
+    """The nine columns of the impression rows, or None."""
+    n_cols = len(DATASET_COLUMNS)
+    if not lines:
+        return [[] for _ in DATASET_COLUMNS]
+    if list(map(str.count, lines, itertools.repeat("\t"))).count(n_cols - 1) != len(lines):
+        return None
+    fields = "\t".join(lines).split("\t")
+    user_id, qtext, item_id, itext, cm, cq, rsl, click, hist = (
+        fields[k::n_cols] for k in range(n_cols)
+    )
+    if any(ch in "\n".join(dict.fromkeys(qtext + itext)) for ch in _FIELD_FORBIDDEN):
+        return None
+    ints = [_one_id_each(col, bound) for col, bound in
+            ((user_id, _INT64_MAX), (item_id, _INT64_MAX), (hist, n_histories))]
+    small = [_single_digits(col, lo, hi) for col, (lo, hi) in
+             zip((cm, cq, rsl, click), ((0, 1), (0, 1), (1, 4), (0, 1)))]
+    if any(v is None for v in ints + small):
+        return None
+    return [ints[0], qtext, ints[1], itext, *small, ints[2]]
+
+
+def _rows_slow(lines: list[str], first: int, n_histories: int):
+    """The nine columns, row by row; raises at the first faulty row."""
+    cols: list[list] = [[] for _ in DATASET_COLUMNS]
+    checked: set[str] = set()
+    for line_no, line in enumerate(lines, start=first):
+        parts = line.split("\t")
+        if len(parts) != len(DATASET_COLUMNS):
+            raise DatasetParseError(
+                line_no, f"expected {len(DATASET_COLUMNS)} columns, got {len(parts)}"
             )
-    return samples
+        user_id, qtext, item_id, itext, cm, cq, rsl, click, hist = parts
+        for text, what in ((qtext, "query_text"), (itext, "item_text")):
+            if text not in checked:
+                _check_field(text, what, line_no)
+                checked.add(text)
+        values = (
+            _parse_int64(user_id, "user_id", line_no),
+            qtext,
+            _parse_int64(item_id, "item_id", line_no),
+            itext,
+            parse_int(cm, "category_match", line_no, {0, 1}),
+            parse_int(cq, "contains_query", line_no, {0, 1}),
+            parse_int(rsl, "rsl", line_no, {1, 2, 3, 4}),
+            parse_int(click, "click", line_no, {0, 1}),
+            _parse_id(hist, "history_id", line_no, n_histories),
+        )
+        for col, v in zip(cols, values):
+            col.append(v)
+    return cols
+
+
+def read_dataset(path) -> Dataset:
+    """Inverse of write_dataset, as a columnar Dataset (the file holds no
+    truth fields).
+
+    Every error names the file and its 1-based line; in a file with several
+    faults, the first in file order.
+    """
+    with open_text(path) as fh:
+        lines = fh.read().split("\n")
+        if lines[-1] == "":
+            lines.pop()  # the newline that ends the last line
+        n_entries, n_histories = _parse_header(lines[0] if lines else "")
+        at = 1
+        queries, items = _parse_entries(lines[at : at + n_entries], at + 1)
+        if len(queries) < n_entries:
+            raise DatasetParseError(len(lines) + 1, "file ends inside the entry table")
+        at += n_entries
+        hist_lines = lines[at : at + n_histories]
+        hist_entries, hist_off = _parse_histories(hist_lines, at + 1, n_entries)
+        if len(hist_lines) < n_histories:
+            raise DatasetParseError(len(lines) + 1, "file ends inside the history table")
+        at += n_histories
+        rows = lines[at:]
+        cols = _rows_fast(rows, n_histories)
+        if cols is None:
+            cols = _rows_slow(rows, at + 1, n_histories)
+    user_id, qtext, item_id, itext, cm, cq, rsl, click, hist = cols
+    # one str object per distinct text, shared by the rows and entries
+    texts = list(dict.fromkeys(itertools.chain(qtext, itext, queries, items)))
+    text_id = dict(zip(texts, range(len(texts))))
+
+    def ids(strings):
+        return np.fromiter(map(text_id.__getitem__, strings), dtype=np.int64, count=len(strings))
+
+    def ints(col):
+        return np.asarray(col, dtype=np.int64).reshape(-1)
+
+    return Dataset(
+        texts=texts,
+        query_text_id=ids(qtext),
+        item_text_id=ids(itext),
+        entry_query=ids(queries),
+        entry_item=ids(items),
+        hist_entries=hist_entries,
+        hist_off=hist_off,
+        user_id=ints(user_id),
+        item_id=ints(item_id),
+        category_match=ints(cm),
+        contains_query=ints(cq),
+        rsl=ints(rsl),
+        click=ints(click),
+        history_id=ints(hist),
+    )
 
 
 def write_sidecar(samples: list[Sample], path: str) -> None:
@@ -601,8 +895,10 @@ def read_sidecar(path: str) -> list[GroundTruth]:
     return truths
 
 
-def attach_sidecar(samples: list[Sample], truths: list[GroundTruth]) -> list[Sample]:
-    """Pairs truth rows back onto samples (dataset order)."""
+def attach_sidecar(samples, truths: list[GroundTruth]) -> list[Sample]:
+    """Pairs truth rows back onto samples (dataset order); returns them as a
+    list, since the Samples a Dataset gives are built afresh on each access."""
+    samples = list(samples)
     if len(samples) != len(truths):
         raise ValidationError(f"{len(samples)} samples but {len(truths)} truth rows")
     for s, t in zip(samples, truths):

@@ -23,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import autodiff as ad
+from . import kernels
 from .errors import (
     DatasetParseError,
     DimensionError,
@@ -164,9 +165,7 @@ def _encode_id_lists(params: EncoderParams, id_lists: list[list[int]]) -> np.nda
         # the GEMM a batch takes; two copies of the row go through GEMM, so the
         # vector is bit-equal to the one the row gets inside any larger batch
         return _encode_id_lists(params, id_lists * 2)[:1]
-    flat = np.array([i for ids in id_lists for i in ids], dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum([len(ids) for ids in id_lists])]).astype(np.int64)
-    return encode_bags(params, flat, offsets).data
+    return encode_bags(params, *kernels.ragged(id_lists)).data
 
 
 def _refuse_bare_str(keys, what: str):
@@ -192,11 +191,15 @@ def encode_pair(params: EncoderParams, pairs: Sequence[tuple[str, str]]) -> np.n
 # training
 
 
-def _bag_batch(id_lists: list[list[int]], rows: np.ndarray):
-    lists = [id_lists[r] for r in rows]
-    flat = np.array([i for ids in lists for i in ids], dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum([len(ids) for ids in lists])]).astype(np.int64)
-    return flat, offsets
+def _pair_bags(params: EncoderParams, labeled) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The token bags of the distinct (query, item) pairs among the labeled
+    triples, as CSR (flat ids, offsets), each pair's ids computed once; and
+    per triple, the number of its pair's bag."""
+    bag_of: dict[tuple[str, str], int] = {}
+    bags = np.fromiter((bag_of.setdefault((q, i), len(bag_of)) for q, i, _ in labeled),
+                       dtype=np.int64, count=len(labeled))
+    flat, offsets = kernels.ragged([_pair_ids(params, q, i) for q, i in bag_of])
+    return flat, offsets, bags
 
 
 def pretrain_encoder(
@@ -217,7 +220,7 @@ def pretrain_encoder(
     if config.epochs == 0:
         return params, []
 
-    id_lists = [_pair_ids(params, q, i) for q, i, _ in pairs]
+    bag_flat, bag_off, bags = _pair_bags(params, pairs)
     rng = np.random.default_rng(config.seed + 17)
     trainable = params.trainable()
     trace = []
@@ -226,7 +229,7 @@ def pretrain_encoder(
         epoch_losses = []
         for lo in range(0, len(order), config.batch_size):
             rows = order[lo : lo + config.batch_size]
-            flat, offsets = _bag_batch(id_lists, rows)
+            flat, offsets = kernels.gather_segments(bag_flat, bag_off, bags[rows])
             y = labels_all[rows]
             ad.zero_grad(trainable)
             with ad.Tape() as tape:
@@ -259,7 +262,7 @@ def finetune_encoder(
     if not labeled_pairs or lr == 0.0 or config.finetune_epochs == 0:
         return params, []
 
-    id_lists = [_pair_ids(params, q, i) for q, i, _ in labeled_pairs]
+    bag_flat, bag_off, bags = _pair_bags(params, labeled_pairs)
     labels = np.array([rsl - 1 for _, _, rsl in labeled_pairs], dtype=np.int64)
     rng = np.random.default_rng(config.seed + 29)
     trainable = params.trainable()
@@ -269,7 +272,7 @@ def finetune_encoder(
         epoch_losses = []
         for lo in range(0, len(order), config.batch_size):
             rows = order[lo : lo + config.batch_size]
-            flat, offsets = _bag_batch(id_lists, rows)
+            flat, offsets = kernels.gather_segments(bag_flat, bag_off, bags[rows])
             ad.zero_grad(trainable)
             with ad.Tape() as tape:
                 emb = encode_bags(params, flat, offsets)

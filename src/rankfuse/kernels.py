@@ -1,5 +1,6 @@
 """Embedding-bag kernels on ``np.bincount``: segment means and their
-gradient, row scatter-adds, and history padding.
+gradient, row scatter-adds, history padding, and the CSR helpers that build
+and gather bags.
 
 Bags are offset-delimited: ``ids`` is a flat row-index array and ``offsets``
 (length m+1) delimits the m segments. ``np.bincount`` adds its weights into
@@ -11,6 +12,8 @@ bit differently.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -75,3 +78,29 @@ def pad_segments(ids: np.ndarray, offsets: np.ndarray, width: int):
     mask = np.arange(width)[None, :] < lengths[:, None]
     padded[mask] = ids
     return padded, mask
+
+
+def ragged(lists) -> tuple[np.ndarray, np.ndarray]:
+    """Int lists as CSR: (flat ids, offsets of length len(lists) + 1)."""
+    lengths = [len(ids) for ids in lists]
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    flat = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64, count=int(offsets[-1]))
+    return flat, offsets
+
+
+def segment_positions(offsets: np.ndarray, segments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the chosen segments of a CSR sit: (positions in the flat array,
+    concatenated in the order of `segments`; their offsets)."""
+    starts = offsets[segments]
+    lengths = offsets[segments + 1] - starts
+    out = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out[1:])
+    # entry t of the k-th chosen segment sits at starts[k] + t
+    return np.repeat(starts - out[:-1], lengths) + np.arange(out[-1]), out
+
+
+def gather_segments(flat: np.ndarray, offsets: np.ndarray, segments: np.ndarray):
+    """The chosen segments of the CSR (flat, offsets), as a CSR of their own."""
+    positions, out = segment_positions(offsets, segments)
+    return flat[positions], out

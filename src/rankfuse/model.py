@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import kernels
-from .data import Sample, derive_flags
+from .data import Dataset, Sample, derive_flags
 from .encoder import EmbeddingIndex, token_id, tokenize
 from .errors import DimensionError, ValidationError
 
@@ -307,100 +307,119 @@ class Batch:
         return self.cache.pair_mat[self.cache.hist_r_rows[self.hist_slots]]
 
 
-def _flatten_bags(bags: list[list[int]], rows: np.ndarray):
-    lists = [bags[r] for r in rows]
-    flat = np.array([i for ids in lists for i in ids], dtype=np.int64)
-    off = np.zeros(len(lists) + 1, dtype=np.int64)
-    np.cumsum([len(ids) for ids in lists], out=off[1:])
-    return flat, off
+def _distinct_histories(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, its history's number among the histories the rows use,
+    numbered by first use, with equal histories merged; and per number, the
+    dataset's id of that history."""
+    # entries with the same two texts are equal, so they get one key
+    _, entry_key = np.unique(ds.entry_query * len(ds.texts) + ds.entry_item, return_inverse=True)
+    blob = entry_key[ds.hist_entries].astype(np.int64).tobytes()
+    bounds = (ds.hist_off * 8).tolist()
+    held, first_row = np.unique(ds.history_id, return_index=True)
+    number = np.zeros(len(bounds) - 1, dtype=np.int64)
+    seen: dict[bytes, int] = {}
+    used = []
+    for h in held[np.argsort(first_row)].tolist():
+        k = number[h] = seen.setdefault(blob[bounds[h] : bounds[h + 1]], len(seen))
+        if k == len(used):
+            used.append(h)
+    return number[ds.history_id], np.array(used, dtype=np.int64)
+
+
+def _group_ids(user_id: np.ndarray, query_rank: np.ndarray) -> np.ndarray:
+    """Per row, the number of its (user, query) pair in sorted order."""
+    order = np.lexsort((query_rank, user_id))
+    u, q = user_id[order], query_rank[order]
+    new = np.ones(order.size, dtype=np.int64)
+    new[1:] = (u[1:] != u[:-1]) | (q[1:] != q[:-1])
+    groups = np.empty(order.size, dtype=np.int64)
+    groups[order] = np.cumsum(new) - 1
+    return groups
 
 
 class TrainingCache:
     """Precomputed ids and frozen embeddings for repeated batch slicing.
 
-    Unique texts and pairs are looked up once (sorted order, so encoder
-    fallbacks are deterministic); per-sample rows then index into the two
-    embedding matrices. Each distinct history is stored once, ragged; a batch
-    pads its histories' entry positions and gathers their embeddings only
-    when read.
+    Built from a Dataset's columns; any other sequence of Samples is first
+    turned into one (Dataset.from_samples). Slots, token bags and embedding
+    rows are computed once per distinct text, history rows once per distinct
+    history, and per-row arrays are gathered from them, with no Python loop
+    over rows. Unique texts and pairs are looked up in sorted order, so
+    encoder fallbacks are deterministic. Each distinct history is stored
+    once, ragged; a batch pads its histories' entry positions and gathers
+    their embeddings only when read.
     """
 
-    def __init__(self, samples: list[Sample], index: EmbeddingIndex, config: ModelConfig):
-        if not samples:
+    def __init__(self, samples, index: EmbeddingIndex, config: ModelConfig):
+        ds = Dataset.from_samples(samples)
+        if not len(ds):
             raise ValidationError("no samples to cache")
         if index.dim != config.d:
             raise DimensionError(f"index dim {index.dim} != model d {config.d}")
         self.config = config
-        self.n = len(samples)
-
-        # rows share a history by value, so each distinct one is walked once
-        hist_id: dict[tuple, int] = {}
-        self.hist_of = np.array(
-            [hist_id.setdefault(tuple(s.history), len(hist_id)) for s in samples], dtype=np.int64
-        )
-        texts: set[str] = set()
-        pairs: set[tuple[str, str]] = set()
-        for s in samples:
-            texts.add(s.query_text)
-            texts.add(s.item_text)
-            pairs.add((s.query_text, s.item_text))
-        for history in hist_id:
-            texts.update(q for q, _ in history)
-            pairs.update(history)
-        text_list = sorted(texts)
-        pair_list = sorted(pairs)
-        index.encode_missing(text_list, pair_list)
-        self.text_row = {t: i for i, t in enumerate(text_list)}
-        self.pair_row = {p: i for i, p in enumerate(pair_list)}
-        self.text_mat = np.stack([index.lookup_text(t) for t in text_list])
-        self.pair_mat = np.stack([index.lookup_pair(q, i) for q, i in pair_list])
-
-        self.user_ids = np.array([user_slot(s.user_id, config) for s in samples], dtype=np.int64)
-        self.item_ids = np.array([item_slot(s.item_id, config) for s in samples], dtype=np.int64)
-        self.qcat_ids = np.array([category_slot(s.query_text, config) for s in samples], dtype=np.int64)
-        self.icat_ids = np.array([category_slot(s.item_text, config) for s in samples], dtype=np.int64)
-        self.qtok = [token_slots(s.query_text, config) for s in samples]
-        self.itok = [token_slots(s.item_text, config) for s in samples]
-        self.flags = np.array(
-            [[float(s.category_match), float(s.contains_query)] for s in samples], dtype=np.float64
-        )
-        self.qtext_rows = np.array([self.text_row[s.query_text] for s in samples], dtype=np.int64)
-        self.itext_rows = np.array([self.text_row[s.item_text] for s in samples], dtype=np.int64)
-        self.pair_rows = np.array(
-            [self.pair_row[(s.query_text, s.item_text)] for s in samples], dtype=np.int64
-        )
-        self.y = np.array([float(s.click) for s in samples], dtype=np.float64)
-        self.rsl = np.array([int(s.rsl) for s in samples], dtype=np.int64)
-
-        # listwise grouping: impressions sharing (user, query) form one list
-        group_list = sorted({(s.user_id, s.query_text) for s in samples})
-        group_id = {g: i for i, g in enumerate(group_list)}
-        self.group_keys = np.array(
-            [group_id[(s.user_id, s.query_text)] for s in samples], dtype=np.int64
-        )
+        self.n = len(ds)
+        texts, n_texts = ds.texts, len(ds.texts)
 
         # distinct histories as CSR: history h spans hist_off[h]:hist_off[h + 1]
-        self.hist_off = np.zeros(len(hist_id) + 1, dtype=np.int64)
-        np.cumsum([len(h) for h in hist_id], out=self.hist_off[1:])
-        self.hist_q_rows = np.array(
-            [self.text_row[q] for h in hist_id for q, _ in h], dtype=np.int64
-        )
-        self.hist_r_rows = np.array([self.pair_row[p] for h in hist_id for p in h], dtype=np.int64)
+        self.hist_of, used = _distinct_histories(ds)
+        entries, self.hist_off = kernels.gather_segments(ds.hist_entries, ds.hist_off, used)
+        entry_q, entry_i = ds.entry_query[entries], ds.entry_item[entries]
+
+        # a text's rank in sorted order; rank(q) * n_texts + rank(i) sorts
+        # pairs as their (query, item) tuples sort
+        order = np.array(sorted(range(n_texts), key=texts.__getitem__), dtype=np.int64)
+        rank = np.empty(n_texts, dtype=np.int64)
+        rank[order] = np.arange(n_texts)
+        looked_up = np.zeros(n_texts, dtype=bool)
+        looked_up[ds.query_text_id] = looked_up[ds.item_text_id] = looked_up[entry_q] = True
+        text_ids = order[looked_up[order]]
+        text_row = np.full(n_texts, -1, dtype=np.int64)
+        text_row[text_ids] = np.arange(text_ids.size)
+        pair_keys, pair_row = np.unique(np.concatenate([
+            rank[ds.query_text_id] * n_texts + rank[ds.item_text_id],
+            rank[entry_q] * n_texts + rank[entry_i],
+        ]), return_inverse=True)
+        text_list = [texts[t] for t in text_ids.tolist()]
+        pair_list = [(texts[q], texts[i]) for q, i in zip(order[pair_keys // n_texts].tolist(),
+                                                           order[pair_keys % n_texts].tolist())]
+        index.encode_missing(text_list, pair_list)
+        self.text_mat = np.stack([index.lookup_text(t) for t in text_list])
+        self.pair_mat = np.stack([index.lookup_pair(q, i) for q, i in pair_list])
+        self.qtext_rows = text_row[ds.query_text_id]
+        self.itext_rows = text_row[ds.item_text_id]
+        self.pair_rows = pair_row[: self.n]
+        self.hist_q_rows = text_row[entry_q]
+        self.hist_r_rows = pair_row[self.n :]
+
+        # category slot and token bag of each distinct row text, in sorted order
+        in_rows = np.zeros(n_texts, dtype=bool)
+        in_rows[ds.query_text_id] = in_rows[ds.item_text_id] = True
+        row_texts = order[in_rows[order]]
+        bag = np.zeros(n_texts, dtype=np.int64)
+        bag[row_texts] = np.arange(row_texts.size)
+        words = [texts[t] for t in row_texts.tolist()]
+        category = np.array([category_slot(w, config) for w in words], dtype=np.int64)
+        self.tok_flat, self.tok_off = kernels.ragged([token_slots(w, config) for w in words])
+        self.qbag, self.ibag = bag[ds.query_text_id], bag[ds.item_text_id]
+        self.qcat_ids, self.icat_ids = category[self.qbag], category[self.ibag]
+
+        self.user_ids = ds.user_id % config.user_buckets
+        self.item_ids = ds.item_id % config.item_buckets
+        self.flags = np.stack([ds.category_match, ds.contains_query], axis=1).astype(np.float64)
+        self.y = ds.click.astype(np.float64)
+        self.rsl = ds.rsl.copy()
+        # listwise grouping: impressions sharing (user, query) form one list
+        self.group_keys = _group_ids(ds.user_id, rank[ds.query_text_id])
 
     def batch(self, rows: np.ndarray) -> Batch:
         rows = np.asarray(rows, dtype=np.int64)
-        qtok_flat, qtok_off = _flatten_bags(self.qtok, rows)
-        itok_flat, itok_off = _flatten_bags(self.itok, rows)
+        qtok_flat, qtok_off = kernels.gather_segments(self.tok_flat, self.tok_off, self.qbag[rows])
+        itok_flat, itok_off = kernels.gather_segments(self.tok_flat, self.tok_off, self.ibag[rows])
 
         hist = self.hist_of[rows]
-        lens = self.hist_off[hist + 1] - self.hist_off[hist]
-        hist_rows = np.nonzero(lens > 0)[0].astype(np.int64)
-        starts, lens = self.hist_off[hist[hist_rows]], lens[hist_rows]
-        off = np.zeros(hist_rows.size + 1, dtype=np.int64)
-        np.cumsum(lens, out=off[1:])
-        # entry t of the batch's k-th history sits at starts[k] + t
-        flat = np.repeat(starts - off[:-1], lens) + np.arange(off[-1])
-        slots, mask = kernels.pad_segments(flat, off, int(lens.max(initial=0)))
+        hist_rows = np.flatnonzero(self.hist_off[hist + 1] > self.hist_off[hist])
+        flat, off = kernels.segment_positions(self.hist_off, hist[hist_rows])
+        slots, mask = kernels.pad_segments(flat, off, int(np.diff(off).max(initial=0)))
 
         return Batch(
             size=rows.size,
@@ -424,11 +443,6 @@ class TrainingCache:
             hist_slots=slots,
             cache=self,
         )
-
-
-def build_batch(samples: list[Sample], index: EmbeddingIndex, config: ModelConfig) -> Batch:
-    cache = TrainingCache(samples, index, config)
-    return cache.batch(np.arange(len(samples), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +674,9 @@ def sample_for_scoring(
     item_text: str,
     history: list[tuple[str, str]],
 ) -> Sample:
-    """Inference-time record: labels are placeholders, flags recomputed."""
+    """Inference-time record: labels are placeholders, flags recomputed.
+    The sample holds `history` itself, not a copy, so the candidates of one
+    request share it (and the cache hashes it once)."""
     cm, cq = derive_flags(query_text, item_text)
     return Sample(
         user_id=user_id,
@@ -671,5 +687,5 @@ def sample_for_scoring(
         contains_query=cq,
         rsl=1,
         click=0,
-        history=list(history),
+        history=history,
     )

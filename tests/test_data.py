@@ -4,6 +4,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rankfuse import data as dt
+from rankfuse import model as md
+from rankfuse.encoder import EmbeddingIndex, pair_key
 from rankfuse.errors import DatasetParseError, ValidationError
 
 
@@ -346,6 +348,143 @@ def test_file_ending_inside_a_table_names_the_line(tmp_path):
     with pytest.raises(DatasetParseError) as err:
         dt.read_dataset(str(path))
     assert err.value.line_no == 6 and "ends inside the history table" in str(err.value)
+
+
+@pytest.mark.parametrize("faults, line, words", [
+    # a later column of an earlier row comes before an earlier column of a later row
+    ((("\t1\t4\t1\t0\n", "\t1\t4\t2\t0\n"), ("4\tcat c\t8", "x\tcat c\t8")), 6, "click 2 outside"),
+    ((("3\tcat a\t7", "3\tcat^a\t7"), ("\t1\t4\t0\t1\n", "\t1\t7\t0\t1\n")), 6, "query_text contains forbidden"),
+    # two faults in one row: the earlier column
+    ((("3\tcat a\t7", "+3\tcat a\t7"), ("\t1\t4\t1\t0\n", "\t1\t9\t1\t0\n")), 6, "bad user_id '+3'"),
+    # a fault in the history table comes before one in the rows
+    ((("0 1\n", "0  1\n"), ("4\tcat c\t8", "4\tcat c\t08")), 4, "bad entry id ''"),
+    # a long history line before a line with a bad id
+    ((("0 1\n", " ".join(["1"] * 51) + "\n"), ("\n3\t", "7\n3\t")), 4, "history longer than 50"),
+])
+def test_first_of_two_faults_is_reported(tmp_path, faults, line, words):
+    text = SMALL_FILE
+    for old, new in faults:
+        assert old in text
+        text = text.replace(old, new, 1)
+    path = tmp_path / "two.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DatasetParseError) as err:
+        dt.read_dataset(str(path))
+    assert err.value.line_no == line and words in str(err.value)
+
+
+def test_dataset_is_a_read_only_sequence_of_samples(tmp_path):
+    path = tmp_path / "small.tsv"
+    path.write_text(SMALL_FILE, encoding="utf-8")
+    ds = dt.read_dataset(str(path))
+    a = dt.Sample(3, "cat a", 7, "cat a b", 1, 1, 4, 1, [("cat c", "cat c d"), ("cat a", "cat a b")])
+    b = dt.Sample(4, "cat c", 8, "cat c d", 1, 1, 4, 0, [])
+    assert not isinstance(ds, list) and len(ds) == 2
+    assert ds[0] == a and ds[-1] == b and ds[1:] == [b]
+    assert ds == [a, b] and [a, b] == ds and ds == (a, b) and ds != [b, a]
+    assert ds + [a] == [a, b, a] and [b] + ds == [b, a, b] and ds + ds == [a, b, a, b]
+    with pytest.raises(IndexError):
+        ds[2]
+    # a changed Sample is a copy; the columns do not move
+    ds[0].click = 0
+    assert ds[0].click == 1 and ds.click.tolist() == [1, 0]
+    assert ds.labeled_pairs("rsl") == [("cat a", "cat a b", 4), ("cat c", "cat c d", 4)]
+    assert sorted(ds.pairs()) == [("cat a", "cat a b"), ("cat c", "cat c d")]
+    assert dt.Dataset.from_samples(ds) is ds
+    assert dt.Dataset.from_samples([a, b]) == ds
+
+
+def test_from_samples_hashes_a_shared_history_once():
+    class CountingTuple(tuple):
+        hashed = 0
+
+        def __hash__(self):
+            CountingTuple.hashed += 1
+            return super().__hash__()
+
+    shared = [CountingTuple(("cat q", "cat i"))]
+    samples = [dt.Sample(k, "cat q", k, f"cat i{k}", 1, 0, 2, 0, shared) for k in range(20)]
+    dt.Dataset.from_samples(samples[:1])
+    one_row, CountingTuple.hashed = CountingTuple.hashed, 0
+    ds = dt.Dataset.from_samples(samples)
+    assert CountingTuple.hashed == one_row
+    assert ds.history_id.tolist() == [0] * 20 and len(ds.hist_off) == 2
+    assert ds == samples
+
+
+# ---------------------------------------------------------------------------
+# the cache built from a file's columns equals the one built from Samples
+
+
+def _index_for(samples, d):
+    """An index holding a vector for every text and pair of the samples."""
+    ds = dt.Dataset.from_samples(samples)
+    rng = np.random.default_rng(0)
+    idx = EmbeddingIndex(dim=d, checkpoint_id="fixture")
+    idx.text.update((t, rng.normal(size=d)) for t in ds.texts)
+    idx.pair.update((pair_key(q, i), rng.normal(size=d)) for q, i in ds.pairs())
+    return idx
+
+
+CFG = md.ModelConfig(d=4, field_dim=2, user_buckets=8, item_buckets=8, category_buckets=4,
+                     token_buckets=8, base_hidden=(4,), rsl_hidden=(4,), incentive_hidden=(2,))
+
+
+def _assert_same_cache(path, samples, row_sets):
+    idx = _index_for(samples, CFG.d)
+    from_file = md.TrainingCache(dt.read_dataset(str(path)), idx, CFG)
+    from_list = md.TrainingCache(list(samples), idx, CFG)
+    arrays = {k for k, v in vars(from_list).items() if isinstance(v, np.ndarray)}
+    assert arrays == {k for k, v in vars(from_file).items() if isinstance(v, np.ndarray)}
+    for k in arrays:
+        a, b = getattr(from_file, k), getattr(from_list, k)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), k
+    for rows in row_sets:
+        x, y = from_file.batch(rows), from_list.batch(rows)
+        for k in ("hist_q_emb", "hist_r_emb", *vars(y)):
+            a, b = getattr(x, k), getattr(y, k)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), k
+            elif k != "cache":
+                assert a == b, k
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(samples=sample_lists().filter(bool), data=st.data())
+def test_cache_from_file_equals_cache_from_samples(tmp_path, samples, data):
+    path = tmp_path / "a.tsv"
+    dt.write_dataset(samples, str(path))
+    rows = st.lists(st.integers(0, len(samples) - 1), min_size=1, max_size=2 * len(samples))
+    row_sets = [np.array(data.draw(rows), dtype=np.int64) for _ in range(3)]
+    _assert_same_cache(path, samples, row_sets)
+
+
+def test_cache_from_hand_written_file_with_unused_tables(tmp_path):
+    # entry 2 and history 1 are not used by any row; histories 0 and 3 are
+    # equal but written twice, and entries 0 and 3 hold the same pair
+    text = (
+        "rankfuse-dataset\tversion=2\tentries=4\thistories=4\n"
+        "cat c\tcat c d\n"
+        "cat a\tcat a b\n"
+        "cät ü\tcät ü x\n"
+        "cat c\tcat c d\n"
+        "0 1\n"
+        "2\n"
+        "\n"
+        "3 1\n"
+        "3\tcat a\t7\tcat a b\t1\t1\t4\t1\t2\n"
+        "4\tcat c\t8\tcat c d\t1\t1\t4\t0\t3\n"
+        "3\tcat c\t9\tcat c e\t1\t0\t2\t0\t0\n"
+        "5\tcat a\t7\tcat a b\t1\t1\t4\t1\t2\n"
+    )
+    path = tmp_path / "hand.tsv"
+    path.write_text(text, encoding="utf-8")
+    samples = list(dt.read_dataset(str(path)))
+    assert samples[1].history == samples[2].history == [("cat c", "cat c d"), ("cat a", "cat a b")]
+    # histories are numbered by first use, not by their ids in the file
+    assert md.TrainingCache(samples, _index_for(samples, 4), CFG).hist_of.tolist() == [0, 1, 1, 0]
+    _assert_same_cache(path, samples, [np.arange(4), np.array([3, 1, 1, 0])])
 
 
 def test_forbidden_characters_rejected_on_write(tmp_path):

@@ -145,7 +145,7 @@ def test_rsl_output_simplex_and_uniform_at_zero():
     samples = make_samples(12)
     cfg = tiny_config()
     params = md.build_model(cfg)
-    batch = md.build_batch(samples, make_index(samples, cfg.d), cfg)
+    batch = md.TrainingCache(samples, make_index(samples, cfg.d), cfg).batch(np.arange(len(samples)))
     out = md.rsl_forward_batch(params, batch).data
     assert np.all(out > 0) and np.all(out < 1)
     assert np.abs(out.sum(axis=-1) - 1.0).max() < 1e-9
@@ -159,7 +159,7 @@ def test_base_output_independent_sigmoids():
     samples = make_samples(12)
     cfg = tiny_config()
     params = md.build_model(cfg)
-    batch = md.build_batch(samples, make_index(samples, cfg.d), cfg)
+    batch = md.TrainingCache(samples, make_index(samples, cfg.d), cfg).batch(np.arange(len(samples)))
     out = md.base_forward_batch(params, batch).data
     assert out.shape == (12, 4)
     assert np.all(out > 0) and np.all(out < 1)
@@ -175,7 +175,7 @@ def test_rsl_hand_trace_single_layer():
     cfg = tiny_config(rsl_hidden=())
     params = md.build_model(cfg)
     idx = make_index(samples, cfg.d)
-    batch = md.build_batch(samples, idx, cfg)
+    batch = md.TrainingCache(samples, idx, cfg).batch(np.arange(len(samples)))
 
     rng = np.random.default_rng(0)
     W = rng.normal(size=(2 + 3 * cfg.d, 4))
@@ -196,7 +196,7 @@ def test_base_hand_trace_single_layer():
     cfg = tiny_config(base_hidden=())
     params = md.build_model(cfg)
     idx = make_index(samples, cfg.d)
-    batch = md.build_batch(samples, idx, cfg)
+    batch = md.TrainingCache(samples, idx, cfg).batch(np.arange(len(samples)))
 
     rng = np.random.default_rng(1)
     n_in = md.base_input_dim(cfg)
@@ -241,7 +241,7 @@ def test_fuse_examples():
     samples = make_samples(6)
     cfg = tiny_config()
     params = md.build_model(cfg)
-    batch = md.build_batch(samples, make_index(samples, cfg.d), cfg)
+    batch = md.TrainingCache(samples, make_index(samples, cfg.d), cfg).batch(np.arange(len(samples)))
     examples = (
         ([0.1, 0.2, 0.3, 0.4], [0.0, 0.0, 1.0, 0.0], 0.3),
         ([0.6, 0.6, 0.6, 0.6], [0.7, 0.1, 0.1, 0.1], 0.6),
@@ -268,7 +268,7 @@ def test_extract_history_preferences():
     samples = make_samples(6)
     idx = make_index(samples, 8)
     misses_before = idx.cache_misses
-    batch = md.build_batch(samples, idx, tiny_config())
+    batch = md.TrainingCache(samples, idx, tiny_config()).batch(np.arange(len(samples)))
     assert idx.cache_misses == misses_before
 
     with_hist = [i for i, s in enumerate(samples) if s.history]
@@ -442,7 +442,7 @@ def test_attention_finite_difference_two_heads_with_padding():
 def test_incentive_neutral_and_range():
     samples = make_samples(30)
     cfg = tiny_config()
-    batch = md.build_batch(samples, make_index(samples, cfg.d), cfg)
+    batch = md.TrainingCache(samples, make_index(samples, cfg.d), cfg).batch(np.arange(len(samples)))
     assert 0 < batch.hist_rows.size < len(samples)
     params = md.build_model(cfg)
     zero_layers(params.incentive_layers)
@@ -507,7 +507,8 @@ def test_score_batch_no_prim_and_base_only():
     cfg = tiny_config(variant="no-prim")
     params = md.build_model(cfg)
     idx = make_index(samples, cfg.d)
-    out = md.score_batch(params, md.build_batch(samples, idx, cfg))
+    batch = md.TrainingCache(samples, idx, cfg).batch(np.arange(len(samples)))
+    out = md.score_batch(params, batch)
     assert np.all(out["tau"].data == 1.0)
     assert np.array_equal(
         out["final"].data, np.clip(out["fused"].data, md.SCORE_EPS, 1 - md.SCORE_EPS)
@@ -515,7 +516,8 @@ def test_score_batch_no_prim_and_base_only():
 
     solo_cfg = tiny_config(variant="base-only")
     solo = md.build_model(solo_cfg)
-    out2 = md.score_batch(solo, md.build_batch(samples, idx, solo_cfg))
+    solo_batch = md.TrainingCache(samples, idx, solo_cfg).batch(np.arange(len(samples)))
+    out2 = md.score_batch(solo, solo_batch)
     assert set(out2) == {"final"}
     assert np.all((out2["final"].data > 0) & (out2["final"].data < 1))
     with pytest.raises(ValidationError):
@@ -541,7 +543,8 @@ def test_cache_slicing_matches_direct_batch():
     cache = md.TrainingCache(samples, idx, cfg)
     rows = np.array([3, 7, 11, 18, 25], dtype=np.int64)
     got = md.score_batch(params, cache.batch(rows))["final"].data
-    direct = md.score_batch(params, md.build_batch([samples[i] for i in rows], idx, cfg))["final"].data
+    alone = md.TrainingCache([samples[i] for i in rows], idx, cfg).batch(np.arange(rows.size))
+    direct = md.score_batch(params, alone)["final"].data
     assert np.array_equal(got, direct)
 
 
@@ -549,7 +552,7 @@ def test_index_dim_mismatch_rejected():
     samples = make_samples(3)
     cfg = tiny_config()
     with pytest.raises(DimensionError):
-        md.build_batch(samples, make_index(samples, cfg.d + 1), cfg)
+        md.TrainingCache(samples, make_index(samples, cfg.d + 1), cfg)
 
 
 def test_cache_stores_each_history_once():
@@ -670,10 +673,63 @@ def test_probability_invariants_sweep():
         params = md.build_model(tiny_config(seed=trial))
         samples = make_samples(8, seed=100 + trial)
         idx = make_index(samples, cfg.d, seed=200 + trial)
-        out = md.score_batch(params, md.build_batch(samples, idx, cfg))
+        batch = md.TrainingCache(samples, idx, cfg).batch(np.arange(len(samples)))
+        out = md.score_batch(params, batch)
         rsl = out["rsl"].data
         base = out["base"].data
         assert np.abs(rsl.sum(axis=-1) - 1).max() < 1e-9
         assert np.all((base > 0) & (base < 1))
         assert np.all((out["fused"].data > 0) & (out["fused"].data < 1))
         assert np.all((out["tau"].data > 0) & (out["tau"].data < 2))
+
+
+# ---------------------------------------------------------------------------
+# the cache builds from columns
+
+
+def test_cache_from_dataset_works_per_distinct_text(tmp_path, monkeypatch):
+    from rankfuse import data as dt
+
+    samples = make_samples(200, seed=12)
+    path = tmp_path / "data.tsv"
+    dt.write_dataset(samples, str(path))
+    ds = dt.read_dataset(str(path))
+    calls = {"token_slots": 0, "category_slot": 0}
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(md, name, counted(getattr(md, name)))
+
+    def no_samples(*_):
+        raise AssertionError("the cache built a Sample")
+
+    monkeypatch.setattr(dt.Dataset, "__iter__", no_samples)
+    monkeypatch.setattr(dt.Dataset, "__getitem__", no_samples)
+    cfg = tiny_config()
+    cache = md.TrainingCache(ds, make_index(samples, cfg.d), cfg)
+    row_texts = {s.query_text for s in samples} | {s.item_text for s in samples}
+    assert calls == {"token_slots": len(row_texts), "category_slot": len(row_texts)}
+    assert len(row_texts) < len(samples)
+    monkeypatch.undo()
+    from_list = md.TrainingCache(samples, make_index(samples, cfg.d), cfg)
+    assert np.array_equal(cache.group_keys, from_list.group_keys)
+
+
+def test_rank_candidates_share_one_history():
+    history = [("cat0 h", "cat1 h x"), ("cat2 h", "cat0 h x")]
+    request = [md.sample_for_scoring(3, "cat0 d1", i, f"cat{i % 3} d{i}", history) for i in range(12)]
+    assert all(s.history is history for s in request)
+    cfg = tiny_config()
+    idx = make_index(request, cfg.d)
+    cache = md.TrainingCache(request, idx, cfg)
+    assert cache.hist_of.tolist() == [0] * 12 and cache.hist_off.tolist() == [0, 2]
+    # the same scores as candidates that each hold a copy
+    copies = [md.sample_for_scoring(3, "cat0 d1", i, f"cat{i % 3} d{i}", list(history))
+              for i in range(12)]
+    params = md.build_model(cfg)
+    assert np.array_equal(md.score_dataset(params, request, idx), md.score_dataset(params, copies, idx))

@@ -82,12 +82,27 @@ spec.loader.exec_module(tracing)
 tracer = tracing.Tracer()
 absent = tracing.instrument(tracer)
 from rankfuse.cli import main
-with tracer.request(None):
-    rc = main(json.loads(sys.argv[3]))
-spans = [s[tracing.NAME] for s in tracer.spans]
-counts = {name: n for (_, name), n in tracer.counts.items()}
-print(json.dumps({"rc": rc, "absent": absent, "spans": spans, "counts": counts}))
+out = []
+for argv in json.loads(sys.argv[3]):
+    first = len(tracer.spans)
+    with tracer.request(None):
+        rc = main(argv)
+    spans = [s[tracing.NAME] for s in tracer.spans[first:]]
+    counts = {name: n for (req, name), n in tracer.counts.items() if req == first}
+    out.append({"rc": rc, "absent": absent, "spans": spans, "counts": counts})
+print(json.dumps(out))
 """
+
+
+def traced_calls(argvs):
+    """Run each CLI argv in one instrumented child process; per call its
+    exit code, the absent targets, span names and lookup counts."""
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(ROOT / "src"), str(TRACING), json.dumps(argvs)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def test_rank_reaches_traced_calls(tiny, tmp_path):
@@ -96,12 +111,7 @@ def test_rank_reaches_traced_calls(tiny, tmp_path):
             "--user-file", str(tiny["root"] / "user.txt"),
             "--candidates-file", str(tiny["root"] / "cands.txt"),
             "--out-dir", str(tmp_path / "rk"), "--explain"]
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(ROOT / "src"), str(TRACING), json.dumps(argv)],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    [out] = traced_calls([argv])
     assert out["rc"] == 0 and out["absent"] == []
     # model.score_candidate_ms: one personalized_score span per request
     assert out["spans"].count("model.personalized_score") == 1
@@ -124,3 +134,30 @@ def test_rank_scores_equal_score_dataset(tiny):
     for samples in (request, tiny["test"]):
         finals = np.array([bd.final for bd in md.personalized_score(samples, index, params)])
         assert np.array_equal(finals, md.score_dataset(params, samples, index))
+
+
+def test_stages_read_each_split_once(tiny, tmp_path):
+    # data.read_s: every stage that reads a split goes through data.read_dataset,
+    # once per split; model.cache_build_s: train builds one TrainingCache
+    data = tiny["root"] / "data"
+    train, test = str(data / "train.tsv"), str(data / "test.tsv")
+    stages = {
+        "pretrain": (["encoder", "pretrain", "--train-file", train, "--d", "8", "--d-raw", "16",
+                      "--encoder-epochs", "1"], 1),
+        "finetune": (["encoder", "finetune", "--checkpoint", str(tiny["encoder"]),
+                      "--train-file", train, "--finetune-epochs", "1"], 1),
+        "build-index": (["encoder", "build-index", "--checkpoint", str(tiny["encoder"]),
+                         "--dataset-file", train, "--dataset-file", test], 2),
+        "train": (["train", "--train-file", train, "--index", str(tiny["index"]), "--d", "8",
+                   "--batch-size", "64", "--stage1-epochs", "1", "--stage2-epochs", "1"], 1),
+        # the index holds the train split's texts only
+        "eval": (["eval", "--checkpoint", f"full={tiny['model']}", "--test-file", train,
+                  "--index", str(tiny["index"])], 1),
+    }
+    argvs = [argv + ["--out-dir", str(tmp_path / name)] for name, (argv, _) in stages.items()]
+    traced = traced_calls(argvs)
+    for (name, (_, reads)), out in zip(stages.items(), traced):
+        assert out["rc"] == 0 and out["absent"] == [], name
+        assert out["spans"].count("data.read_dataset") == reads, name
+    train_spans = traced[list(stages).index("train")]["spans"]
+    assert train_spans.count("model.TrainingCache.__init__") == 1
