@@ -608,19 +608,6 @@ def _parse_int64(text: str, what: str, line_no: int) -> int:
     return v
 
 
-def _history_ids(line: str, line_no: int, n_entries: int) -> list[int]:
-    """The entry ids of one history-table line, each in 0..n_entries-1."""
-    try:
-        ids = list(map(int, line.split(" "))) if line else []
-    except ValueError:
-        ids = None
-    if ids is None or (ids and (min(ids) < 0 or max(ids) >= n_entries
-                                or " ".join(map(str, ids)) != line)):
-        # the slow path names the first bad id
-        ids = [_parse_id(x, "entry id", line_no, n_entries) for x in line.split(" ")]
-    return ids
-
-
 def _check_field(text: str, what: str, line_no: int) -> None:
     if any(ch in text for ch in _FIELD_FORBIDDEN):
         raise DatasetParseError(line_no, f"{what} contains forbidden character")
@@ -659,10 +646,10 @@ def _parse_header(line: str) -> tuple[int, int]:
 # first faulty line, as a reader going down the file would.
 
 
-def _canonical_ids(fields: list[str], bound: int):
+def _canonical_ids(fields: list[str], most: int):
     """(ids, ids per field) when every field is space-separated
-    non-negative ints in the writer's form (at most 18 digits), each below
-    bound; None otherwise."""
+    non-negative ints in the writer's form (at most 18 digits), none above
+    `most`; None otherwise."""
     text = "\n".join(fields) + "\n"
     if not text.isascii():
         return None
@@ -673,39 +660,26 @@ def _canonical_ids(fields: list[str], bound: int):
     if not (digit | space | newline).all():
         return None
     # a space only between two digits: no empty id, no edge or double space
-    # (the text ends with a newline, so b[sp + 1] exists, and b[-1] is no digit)
-    sp = np.flatnonzero(space)
-    if not (digit[sp - 1].all() and digit[sp + 1].all()):
+    # (the text ends with a newline, so no space is last)
+    if space[0] or (space[1:-1] & ~(digit[:-2] & digit[2:])).any():
         return None
     starts = np.flatnonzero(digit & ~np.concatenate(([False], digit[:-1])))
     ends = np.flatnonzero(digit & ~np.concatenate((digit[1:], [False]))) + 1
     lengths = ends - starts
     if starts.size == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(len(fields), dtype=np.int64)
-    if lengths.max() > 18 or ((b[starts] == ord("0")) & (lengths > 1)).any():
+    width = int(lengths.max())
+    if width > 18 or ((b[starts] == ord("0")) & (lengths > 1)).any():
         return None
-    # each id is its digits times powers of ten, summed
-    pos = np.flatnonzero(digit)
-    power = 10 ** (np.repeat(ends, lengths) - 1 - pos)
-    first_digit = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    ids = np.add.reduceat((b[pos] - ord("0")).astype(np.int64) * power, first_digit)
-    if ids.max() >= bound:
+    ids = np.zeros(starts.size, dtype=np.int64)
+    for k in range(width):  # the digit k places before each id's end
+        d = b[np.maximum(ends - 1 - k, 0)].astype(np.int64) - ord("0")
+        ids += np.where(lengths > k, d, 0) * 10**k
+    if ids.max() > most:
         return None
-    per_field = np.bincount(np.searchsorted(np.flatnonzero(newline), starts),
-                            minlength=len(fields))
+    # the ids that start before each field's newline, less those before the last
+    per_field = np.diff(np.searchsorted(starts, np.flatnonzero(newline)), prepend=0)
     return ids, per_field
-
-
-def _single_digits(fields: list[str], lo: int, hi: int):
-    """The values of one-digit fields, each in lo..hi; None otherwise."""
-    text = "".join(fields)
-    # no field empty and one char in all: every field is exactly one char
-    if len(text) != len(fields) or "" in fields or not text.isascii():
-        return None
-    v = np.frombuffer(text.encode("ascii"), dtype=np.uint8).astype(np.int64) - ord("0")
-    if v.size and (v.min() < lo or v.max() > hi):
-        return None
-    return v
 
 
 def _parse_entries(lines: list[str], first: int) -> tuple[list[str], list[str]]:
@@ -728,11 +702,12 @@ def _parse_entries(lines: list[str], first: int) -> tuple[list[str], list[str]]:
 
 def _parse_histories(lines: list[str], first: int, n_entries: int):
     """The history table as CSR (entry ids, offsets); lines[0] is line `first`."""
-    fast = _canonical_ids(lines, n_entries)
+    fast = _canonical_ids(lines, n_entries - 1)
     if fast is None:
         ids = []
         for line_no, line in enumerate(lines, start=first):
-            ids.append(_history_ids(line, line_no, n_entries))
+            ids.append([_parse_id(x, "entry id", line_no, n_entries)
+                        for x in line.split(" ")] if line else [])
             if len(ids[-1]) > HISTORY_LIMIT:
                 raise DatasetParseError(line_no, f"history longer than {HISTORY_LIMIT}")
         return kernels.ragged(ids)
@@ -746,9 +721,12 @@ def _parse_histories(lines: list[str], first: int, n_entries: int):
     return flat, offsets
 
 
-def _one_id_each(fields: list[str], bound: int):
-    parsed = _canonical_ids(fields, bound)
-    return parsed[0] if parsed is not None and (parsed[1] == 1).all() else None
+def _ints_in(fields: list[str], lo: int, hi: int):
+    """One int per field, each in lo..hi (lo >= 0); None otherwise."""
+    parsed = _canonical_ids(fields, hi)
+    if parsed is None or (parsed[1] != 1).any() or (parsed[0] < lo).any():
+        return None
+    return parsed[0]
 
 
 def _rows_fast(lines: list[str], n_histories: int):
@@ -764,13 +742,13 @@ def _rows_fast(lines: list[str], n_histories: int):
     )
     if any(ch in "\n".join(dict.fromkeys(qtext + itext)) for ch in _FIELD_FORBIDDEN):
         return None
-    ints = [_one_id_each(col, bound) for col, bound in
-            ((user_id, _INT64_MAX), (item_id, _INT64_MAX), (hist, n_histories))]
-    small = [_single_digits(col, lo, hi) for col, (lo, hi) in
-             zip((cm, cq, rsl, click), ((0, 1), (0, 1), (1, 4), (0, 1)))]
-    if any(v is None for v in ints + small):
+    ints = [_ints_in(col, lo, hi) for col, lo, hi in (
+        (user_id, 0, _INT64_MAX), (item_id, 0, _INT64_MAX), (cm, 0, 1), (cq, 0, 1),
+        (rsl, 1, 4), (click, 0, 1), (hist, 0, n_histories - 1),
+    )]
+    if any(v is None for v in ints):
         return None
-    return [ints[0], qtext, ints[1], itext, *small, ints[2]]
+    return [ints[0], qtext, ints[1], itext, *ints[2:]]
 
 
 def _rows_slow(lines: list[str], first: int, n_histories: int):

@@ -71,14 +71,6 @@ class ModelConfig:
 # feature extraction (hashing trick over ids and tokens)
 
 
-def user_slot(user_id: int, config: ModelConfig) -> int:
-    return int(user_id) % config.user_buckets
-
-
-def item_slot(item_id: int, config: ModelConfig) -> int:
-    return int(item_id) % config.item_buckets
-
-
 def category_slot(text: str, config: ModelConfig) -> int:
     toks = tokenize(text)
     if not toks:
