@@ -3,7 +3,8 @@ in `tests/golden/digests.json`.
 
 The pipeline runs gen-data, encoder pretrain and finetune, build-index, train
 (full, no-prim, base-only, query-group), eval, a two-value sweep and
-`rank --encoder --explain`, in a child process with one BLAS thread. Every
+`rank --encoder --explain`, in a child process with one BLAS thread. It also
+runs gen-data alone on the edge configurations in GEN_DATA_CASES. Every
 artifact except the `manifest.json` files (which hold wall-clock data) is
 hashed with sha256. A change that claims the same behaviour must leave every
 digest as it is. A change that means to move bytes regenerates the file and
@@ -40,6 +41,18 @@ VARIANTS = {
     "no-prim": ("--no-prim",),
     "base-only": ("--base-only",),
     "query-group": ("--grouping", "query-group"),
+}
+# gen-data alone, on configurations that reach the generator's edge branches
+GEN_DATA_CASES = {
+    # one category: every lookalike item takes the fallback branch
+    "one-category": ("--seed", "4", "--n-categories", "1", "--n-impressions", "500",
+                     "--n-users", "10", "--n-items", "60", "--n-queries", "20"),
+    # few descriptors and queries: some queries hold their category alone
+    "tiny": ("--seed", "5", "--n-descriptors", "8", "--n-categories", "3", "--n-queries", "6",
+             "--n-items", "20", "--n-users", "3", "--n-impressions", "200"),
+    # one user: the history reaches its HISTORY_LIMIT cap
+    "one-user": ("--seed", "6", "--n-users", "1", "--n-impressions", "400", "--n-items", "100",
+                 "--n-queries", "30"),
 }
 
 
@@ -86,6 +99,8 @@ def run_pipeline(work: Path) -> None:
         "--encoder", fine / "encoder.ckpt", "--query", samples[0].query_text,
         "--user-file", work / "user.txt", "--candidates-file", work / "cands.txt",
         "--explain", "--out-dir", work / "rank")
+    for name, flags in GEN_DATA_CASES.items():
+        run("gen-data", "--out-dir", work / f"gen-{name}", *flags)
 
 
 def environment() -> dict[str, str]:
