@@ -20,6 +20,7 @@ import math
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
+from operator import attrgetter
 
 import numpy as np
 
@@ -149,44 +150,45 @@ class Dataset(Sequence):
     def from_samples(cls, samples) -> "Dataset":
         """The columns of a sequence of Samples; a Dataset is returned as it is.
 
-        A history list is looked up by identity first, so one that many
-        samples share is hashed once; equal histories get one id.
+        Texts, entries and histories are numbered by first appearance. A
+        history list is looked up by identity first, so one that many samples
+        share is hashed once; equal histories get one id.
         """
         if isinstance(samples, Dataset):
             return samples
-        text_id: dict[str, int] = {}
-        entry_id: dict[tuple[str, str], int] = {}
-        by_object: dict[int, int] = {}
+        samples = list(samples)
+        n = len(samples)
+        queries = [s.query_text for s in samples]
+        items = [s.item_text for s in samples]
+        histories = [s.history for s in samples]
+        # one list object per distinct id; the samples keep every list alive
+        objects = dict(zip(map(id, histories), histories))
         by_value: dict[tuple, int] = {}
-        histories: list[list[int]] = []
-        rows = []
-        for s in samples:
-            h = by_object.get(id(s.history))
-            if h is None:
-                key = tuple(s.history)
-                h = by_value.get(key)
-                if h is None:
-                    h = by_value[key] = len(histories)
-                    histories.append([entry_id.setdefault(e, len(entry_id)) for e in key])
-                by_object[id(s.history)] = h
-            rows.append((
-                s.user_id, s.item_id, s.category_match, s.contains_query, s.rsl, s.click, h,
-                text_id.setdefault(s.query_text, len(text_id)),
-                text_id.setdefault(s.item_text, len(text_id)),
-            ))
-        entry_texts = [text_id.setdefault(t, len(text_id)) for entry in entry_id for t in entry]
+        number = {k: by_value.setdefault(tuple(h), len(by_value)) for k, h in objects.items()}
+        entry_id = _numbered(itertools.chain.from_iterable(by_value))
+        text_id = _numbered(itertools.chain(
+            itertools.chain.from_iterable(zip(queries, items)),
+            itertools.chain.from_iterable(entry_id),
+        ))
+
+        def ids(table, keys, count):
+            return np.fromiter(map(table.__getitem__, keys), dtype=np.int64, count=count)
+
         try:
-            cols = np.array(rows, dtype=np.int64).reshape(-1, 9).T
+            ints = {name: np.fromiter(map(attrgetter(name), samples), dtype=np.int64, count=n)
+                    for name in ("user_id", "item_id", "category_match", "contains_query",
+                                 "rsl", "click")}
         except OverflowError:
             raise ValidationError("a sample's id or label is outside the int64 range") from None
-        hist_entries, hist_off = kernels.ragged(histories)
-        entries = np.array(entry_texts, dtype=np.int64).reshape(-1, 2).T
+        entries = ids(text_id, itertools.chain.from_iterable(entry_id), 2 * len(entry_id))
+        hist_off = np.zeros(len(by_value) + 1, dtype=np.int64)
+        np.cumsum(list(map(len, by_value)), out=hist_off[1:])
         return cls(
-            texts=list(text_id), query_text_id=cols[7], item_text_id=cols[8],
-            entry_query=entries[0], entry_item=entries[1],
-            hist_entries=hist_entries, hist_off=hist_off,
-            user_id=cols[0], item_id=cols[1], category_match=cols[2], contains_query=cols[3],
-            rsl=cols[4], click=cols[5], history_id=cols[6],
+            texts=list(text_id), query_text_id=ids(text_id, queries, n),
+            item_text_id=ids(text_id, items, n),
+            entry_query=entries[0::2], entry_item=entries[1::2],
+            hist_entries=ids(entry_id, itertools.chain.from_iterable(by_value), int(hist_off[-1])),
+            hist_off=hist_off, history_id=ids(number, map(id, histories), n), **ints,
         )
 
     def __len__(self) -> int:
@@ -251,21 +253,22 @@ class Dataset(Sequence):
 
 
 
+def _numbered(keys) -> dict:
+    """Each distinct key, numbered from 0 in order of first appearance."""
+    distinct = dict.fromkeys(keys)
+    return dict(zip(distinct, range(len(distinct))))
+
+
 # ---------------------------------------------------------------------------
 # relevance and click oracles
+#
+# The text oracles are thin wrappers over token-level cores, which the
+# generator calls once per distinct (query, item) pair on token lists it
+# tokenized once per text. assign_rsl and click_probability work on arrays
+# element by element, and give a plain number for plain-number inputs.
 
 
-def ground_truth_relevance(query_text: str, item_text: str) -> float:
-    """Weighted token overlap in [0,1]; 0.5 for category match, 0.5 scaled
-    by descriptor-set Jaccard.
-
-    The first token of each text is its category. When both descriptor sets
-    are empty the Jaccard part follows the category (identical single-token
-    texts are fully relevant, disjoint ones fully irrelevant). Any empty
-    text scores 0.
-    """
-    qt = tokenize(query_text)
-    it = tokenize(item_text)
+def _relevance(qt: list[str], it: list[str]) -> float:
     if not qt or not it:
         return 0.0
     cat = 1.0 if qt[0] == it[0] else 0.0
@@ -278,50 +281,57 @@ def ground_truth_relevance(query_text: str, item_text: str) -> float:
     return 0.5 * cat + 0.5 * jac
 
 
-def assign_rsl(relevance: float, thresholds: tuple[float, float, float] = (0.25, 0.5, 0.75)) -> int:
-    """Bucket a [0,1] relevance into levels 1..4, lower-inclusive thresholds."""
-    if not (0.0 <= relevance <= 1.0):
-        raise ValidationError(f"relevance {relevance!r} outside [0,1]")
-    level = 1
-    for t in thresholds:
-        if relevance >= t:
-            level += 1
-    return level
+def ground_truth_relevance(query_text: str, item_text: str) -> float:
+    """Weighted token overlap in [0,1]; 0.5 for category match, 0.5 scaled
+    by descriptor-set Jaccard.
 
-
-def simulate_click(
-    sensitivity: float,
-    quality: float,
-    relevance: float,
-    config: GeneratorConfig,
-    rng: np.random.Generator,
-) -> tuple[int, float]:
-    """Draw a click; returns (click, true probability).
-
-    p = sigmoid(w_quality*(quality-1/2) + w_relevance*sensitivity*(relevance-1/2) + bias),
-    so insensitive users (s=0) click on quality alone.
+    The first token of each text is its category. When both descriptor sets
+    are empty the Jaccard part follows the category (identical single-token
+    texts are fully relevant, disjoint ones fully irrelevant). Any empty
+    text scores 0.
     """
-    for name, v in (("sensitivity", sensitivity), ("quality", quality), ("relevance", relevance)):
-        if not (0.0 <= v <= 1.0):
-            raise ValidationError(f"{name} {v!r} outside [0,1]")
-    z = (
-        config.w_quality * (quality - 0.5)
-        + config.w_relevance * sensitivity * (relevance - 0.5)
-        + config.bias
-    )
-    p = float(np_sigmoid(np.float64(z)))
-    return int(rng.random() < p), p
+    return _relevance(tokenize(query_text), tokenize(item_text))
+
+
+def _flags(qt: list[str], it: list[str]) -> tuple[int, int]:
+    if not qt or not it:
+        return 0, 0
+    return int(qt[0] == it[0]), int(set(qt) <= set(it))
 
 
 def derive_flags(query_text: str, item_text: str) -> tuple[int, int]:
     """(category_match, contains_query) recomputed from the raw texts."""
-    qt = tokenize(query_text)
-    it = tokenize(item_text)
-    if not qt or not it:
-        return 0, 0
-    category_match = int(qt[0] == it[0])
-    contains_query = int(set(qt) <= set(it))
-    return category_match, contains_query
+    return _flags(tokenize(query_text), tokenize(item_text))
+
+
+def _in_unit_interval(name: str, values) -> np.ndarray:
+    v = np.asarray(values, dtype=np.float64)
+    outside = ~((v >= 0.0) & (v <= 1.0))  # NaN is outside too
+    if outside.any():
+        raise ValidationError(f"{name} {float(v[outside][0])!r} outside [0,1]")
+    return v
+
+
+def assign_rsl(relevance, thresholds: tuple[float, float, float] = (0.25, 0.5, 0.75)):
+    """Bucket [0,1] relevances into levels 1..4, lower-inclusive thresholds."""
+    r = _in_unit_interval("relevance", relevance)
+    level = np.ones(r.shape, dtype=np.int64)
+    for t in thresholds:
+        level += r >= t
+    return level if level.ndim else int(level)
+
+
+def click_probability(sensitivity, quality, relevance, config: GeneratorConfig):
+    """The true click probability
+    p = sigmoid(w_quality*(quality-1/2) + w_relevance*sensitivity*(relevance-1/2) + bias),
+    so insensitive users (s=0) click on quality alone. An impression is
+    clicked when its uniform draw falls below p."""
+    s = _in_unit_interval("sensitivity", sensitivity)
+    q = _in_unit_interval("quality", quality)
+    r = _in_unit_interval("relevance", relevance)
+    z = config.w_quality * (q - 0.5) + config.w_relevance * s * (r - 0.5) + config.bias
+    p = np_sigmoid(z)
+    return p if p.ndim else float(p)
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +341,32 @@ def derive_flags(query_text: str, item_text: str) -> tuple[int, int]:
 def _pseudo_words(rng: np.random.Generator, count: int, n_syllables: int, taken: set[str]) -> list[str]:
     words = []
     while len(words) < count:
-        w = "".join(rng.choice(_SYLLABLES) for _ in range(n_syllables))
+        # rng.integers(n) draws what rng.choice(n) draws
+        w = "".join(_SYLLABLES[rng.integers(len(_SYLLABLES))] for _ in range(n_syllables))
         if w not in taken:
             taken.add(w)
             words.append(w)
     return words
+
+
+def _pick(rng: np.random.Generator, pool: list[str], k: int) -> list[str]:
+    """k distinct elements of pool, by the draws of
+    rng.choice(pool, size=k, replace=False), without making pool an array."""
+    return [pool[i] for i in rng.choice(len(pool), size=k, replace=False).tolist()]
+
+
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct keys, sorted; per key, its index among them), as
+    np.unique(keys, return_inverse=True) gives them, by one sort. np.unique
+    can import numpy.ma on its first call, which would cost gen-data's fresh
+    process more than its labels."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    new = np.ones(ordered.size, dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty(ordered.size, dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
 
 
 def generate_corpus(config: GeneratorConfig) -> tuple[list[Sample], dict]:
@@ -345,9 +376,18 @@ def generate_corpus(config: GeneratorConfig) -> tuple[list[Sample], dict]:
     variants, same-category items and uniform draws so that all four
     relevance levels occur. Clicked impressions roll into that user's
     history (most recent first, capped at HISTORY_LIMIT) which each later
-    sample snapshots as its prediction-time context.
+    sample holds as its prediction-time context.
+
+    A click gives its user a new history list, and each sample holds the
+    list that was current, so samples share their histories: a sample's
+    `history` is read-only.
+
+    The impression loop makes only the random draws; no draw depends on a
+    label or a click, so labels are computed after it, once per distinct
+    (query, item) pair, and clicks for all rows at once.
     """
     rng = np.random.default_rng(config.seed)
+    # rng.integers(n) draws what rng.integers(0, n) draws, with less argument parsing
     taken: set[str] = set()
     categories = _pseudo_words(rng, config.n_categories, 3, taken)
     descriptors = _pseudo_words(rng, config.n_descriptors, 2, taken)
@@ -370,21 +410,21 @@ def generate_corpus(config: GeneratorConfig) -> tuple[list[Sample], dict]:
     for j in range(n_base):
         if j > 0 and rng.random() < 0.35:
             # knock-off: same descriptors as an earlier item, fresh category
-            base = int(rng.integers(0, j))
+            base = int(rng.integers(j))
             desc = list(item_desc[base])
             variants_of.setdefault(base, []).append(j)
         else:
             k = int(rng.integers(3, 9))
-            desc = list(rng.choice(descriptors, size=k, replace=False))
-        _add_item(int(rng.integers(0, config.n_categories)), desc)
+            desc = _pick(rng, descriptors, k)
+        _add_item(int(rng.integers(config.n_categories)), desc)
 
-    query_source = rng.integers(0, n_base, size=config.n_queries)
+    query_source = rng.integers(0, n_base, size=config.n_queries).tolist()
     query_text: list[str] = []
     query_desc: list[list[str]] = []
     for q in range(config.n_queries):
-        src = int(query_source[q])
-        d = min(int(rng.integers(0, 4)), len(item_desc[src]))
-        picked = list(rng.choice(item_desc[src], size=d, replace=False)) if d else []
+        src = query_source[q]
+        d = min(int(rng.integers(4)), len(item_desc[src]))
+        picked = _pick(rng, item_desc[src], d) if d else []
         query_text.append(" ".join([categories[item_cat[src]]] + picked))
         query_desc.append(picked)
 
@@ -394,16 +434,16 @@ def generate_corpus(config: GeneratorConfig) -> tuple[list[Sample], dict]:
     for _ in range(config.n_items - n_base):
         if not rich or config.n_categories < 2:
             k = int(rng.integers(3, 9))
-            _add_item(int(rng.integers(0, config.n_categories)), list(rng.choice(descriptors, size=k, replace=False)))
+            _add_item(int(rng.integers(config.n_categories)), _pick(rng, descriptors, k))
             continue
-        q = int(rich[int(rng.integers(0, len(rich)))])
-        src = int(query_source[q])
+        q = rich[int(rng.integers(len(rich)))]
+        src = query_source[q]
         d = len(query_desc[q])
         size = 2 if d == 1 else int(rng.integers(d + 1, 2 * d + 1))
-        others = [w for w in descriptors if w not in set(query_desc[q])]
-        pad = list(rng.choice(others, size=size - d, replace=False))
-        cat = int(rng.integers(0, config.n_categories - 1))
-        if cat >= int(item_cat[src]):
+        own = set(query_desc[q])
+        pad = _pick(rng, [w for w in descriptors if w not in own], size - d)
+        cat = int(rng.integers(config.n_categories - 1))
+        if cat >= item_cat[src]:
             cat += 1
         j = _add_item(cat, query_desc[q] + pad)
         variants_of.setdefault(src, []).append(j)
@@ -412,60 +452,63 @@ def generate_corpus(config: GeneratorConfig) -> tuple[list[Sample], dict]:
 
     sensitivity = rng.beta(config.sensitivity_a, config.sensitivity_b, size=config.n_users)
 
-    histories: list[list[tuple[str, str]]] = [[] for _ in range(config.n_users)]
-    samples: list[Sample] = []
-    rsl_counts = {1: 0, 2: 0, 3: 0, 4: 0}
-    clicks = 0
+    # per query, the pools of the descriptor-variant and same-category modes
+    pools = [(variants_of.get(src) or by_category[item_cat[src]], by_category[item_cat[src]])
+             for src in query_source]
+    # per impression: user, query, mode, pool index or item, click uniform
+    integers, uniform = rng.integers, rng.random
+    n_users, n_queries, n_items = config.n_users, config.n_queries, config.n_items
+    users, queries, items, draws = [], [], [], []
     for _ in range(config.n_impressions):
-        u = int(rng.integers(0, config.n_users))
-        q = int(rng.integers(0, config.n_queries))
-        src = int(query_source[q])
-        mode = rng.random()
+        users.append(integers(n_users))
+        q = int(integers(n_queries))
+        mode = uniform()
         if mode < 0.25:
-            j = src
-        elif mode < 0.5:
-            pool = variants_of.get(src) or by_category[int(item_cat[src])]
-            j = int(pool[int(rng.integers(0, len(pool)))])
+            j = query_source[q]
         elif mode < 0.75:
-            pool = by_category[int(item_cat[src])]
-            j = int(pool[int(rng.integers(0, len(pool)))])
+            pool = pools[q][mode >= 0.5]
+            j = pool[integers(len(pool))]
         else:
-            j = int(rng.integers(0, config.n_items))
+            j = integers(n_items)
+        queries.append(q)
+        items.append(j)
+        draws.append(uniform())
+    user = np.array(users, dtype=np.int64)
+    query = np.array(queries, dtype=np.int64)
+    item = np.array(items, dtype=np.int64)
 
-        r = ground_truth_relevance(query_text[q], item_text[j])
-        rsl = assign_rsl(r, config.rsl_thresholds)
-        category_match, contains_query = derive_flags(query_text[q], item_text[j])
-        y, prob = simulate_click(float(sensitivity[u]), float(item_quality[j]), r, config, rng)
-        samples.append(
-            Sample(
-                user_id=u,
-                query_text=query_text[q],
-                item_id=j,
-                item_text=item_text[j],
-                category_match=category_match,
-                contains_query=contains_query,
-                rsl=rsl,
-                click=y,
-                history=list(histories[u]),
-                truth=GroundTruth(
-                    relevance=r,
-                    quality=float(item_quality[j]),
-                    sensitivity=float(sensitivity[u]),
-                    true_click_prob=prob,
-                ),
-            )
-        )
-        rsl_counts[rsl] += 1
-        clicks += y
+    # labels once per distinct (query, item) pair, on texts tokenized once
+    pair_keys, pair_of = _distinct(query * n_items + item)
+    pair_q, pair_j = (pair_keys // n_items).tolist(), (pair_keys % n_items).tolist()
+    query_tokens = {q: tokenize(query_text[q]) for q in set(pair_q)}
+    item_tokens = {j: tokenize(item_text[j]) for j in set(pair_j)}
+    pair_tokens = [(query_tokens[q], item_tokens[j]) for q, j in zip(pair_q, pair_j)]
+    pair_relevance = np.array([_relevance(qt, it) for qt, it in pair_tokens], dtype=np.float64)
+    pair_flags = np.array([_flags(qt, it) for qt, it in pair_tokens], dtype=np.int64).reshape(-1, 2)
+    relevance = pair_relevance[pair_of]
+    rsl = assign_rsl(pair_relevance, config.rsl_thresholds)[pair_of]
+    category_match, contains_query = pair_flags[pair_of].T
+    quality, user_sensitivity = item_quality[item], sensitivity[user]
+    prob = click_probability(user_sensitivity, quality, relevance, config)
+    click = (np.array(draws, dtype=np.float64) < prob).astype(np.int64)
+
+    # every user starts from one shared empty history
+    histories: list[list[tuple[str, str]]] = [[]] * n_users
+    samples: list[Sample] = []
+    columns = (user, query, item, category_match, contains_query, rsl, click,
+               relevance, quality, user_sensitivity, prob)
+    for u, q, j, cm, cq, level, y, r, quality_j, s, p in zip(*(c.tolist() for c in columns)):
+        history = histories[u]
+        samples.append(Sample(u, query_text[q], j, item_text[j], cm, cq, level, y, history,
+                              GroundTruth(r, quality_j, s, p)))
         if y:
-            histories[u].insert(0, (query_text[q], item_text[j]))
-            del histories[u][HISTORY_LIMIT:]
+            histories[u] = [(query_text[q], item_text[j])] + history[: HISTORY_LIMIT - 1]
 
     manifest = {
         "config": asdict(config),
         "n_samples": len(samples),
-        "click_rate": clicks / len(samples),
-        "rsl_counts": rsl_counts,
+        "click_rate": int(click.sum()) / len(samples),
+        "rsl_counts": {level: int((rsl == level).sum()) for level in (1, 2, 3, 4)},
         "n_categories": config.n_categories,
         "n_descriptors": config.n_descriptors,
     }
@@ -517,6 +560,18 @@ def open_text(path):
         raise DatasetParseError(e.line_no, e.detail, path=path) from None
 
 
+def _check_sample(s: Sample) -> None:
+    if len(s.history) > HISTORY_LIMIT:
+        raise ValidationError(f"history longer than {HISTORY_LIMIT}")
+    for q, i in s.history:
+        if not q or not i:
+            raise ValidationError("history entries must be non-empty")
+        check_text(q, "history query")
+        check_text(i, "history item")
+    check_text(s.query_text, "query_text")
+    check_text(s.item_text, "item_text")
+
+
 def write_dataset(samples: list[Sample], path: str) -> None:
     """Write the model-visible records; truth fields are left out.
 
@@ -528,56 +583,40 @@ def write_dataset(samples: list[Sample], path: str) -> None:
       first (an empty line is the empty history); history ids count from 0;
     - one row per sample: the DATASET_COLUMNS, tab-separated.
     Ids are given in order of first appearance, so the bytes depend only on
-    `samples`. Every sample is checked before the file is opened.
+    `samples`. Every sample is checked before the file is opened; of several
+    faulty samples, the first raises.
+
+    The file is written from the columns of Dataset.from_samples (given an
+    iterator, so that a Dataset read from a file is numbered afresh too).
     """
-    entry_id: dict[tuple[str, str], int] = {}
-    hist_id: dict[tuple, int] = {}
-    hist_lines: list[str] = []
-    rows: list[str] = []
-    checked: set[str] = set()
-    for s in samples:
-        history = tuple(s.history)
-        h = hist_id.get(history)
-        if h is None:
-            if len(history) > HISTORY_LIMIT:
-                raise ValidationError(f"history longer than {HISTORY_LIMIT}")
-            ids = []
-            for entry in history:
-                e = entry_id.get(entry)
-                if e is None:
-                    q, i = entry
-                    if not q or not i:
-                        raise ValidationError("history entries must be non-empty")
-                    check_text(q, "history query")
-                    check_text(i, "history item")
-                    e = entry_id[entry] = len(entry_id)
-                ids.append(str(e))
-            h = hist_id[history] = len(hist_lines)
-            hist_lines.append(" ".join(ids))
-        for text, what in ((s.query_text, "query_text"), (s.item_text, "item_text")):
-            if text not in checked:
-                checked.add(check_text(text, what))
-        rows.append(
-            "\t".join((
-                str(int(s.user_id)),
-                s.query_text,
-                str(int(s.item_id)),
-                s.item_text,
-                str(int(s.category_match)),
-                str(int(s.contains_query)),
-                str(int(s.rsl)),
-                str(int(s.click)),
-                str(h),
-            ))
-        )
+    ds = Dataset.from_samples(iter(samples))
+    t = ds.texts
+    lengths = np.diff(ds.hist_off)
+    empty = t.index("") if "" in t else -1
+    joined = "".join(t)
+    if (any(ch in joined for ch in FORBIDDEN_CHARS) or lengths.max(initial=0) > HISTORY_LIMIT
+            or (ds.entry_query == empty).any() or (ds.entry_item == empty).any()):
+        for s in ds:
+            _check_sample(s)
+    # entry ids are 0..E-1, so each is made a str once
+    numerals = list(map(str, range(ds.entry_query.size)))
+    ids = list(map(numerals.__getitem__, ds.hist_entries.tolist()))
+    bounds = ds.hist_off.tolist()
+    text = t.__getitem__
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             f"{DATASET_FORMAT}\tversion={DATASET_VERSION}"
-            f"\tentries={len(entry_id)}\thistories={len(hist_lines)}\n"
+            f"\tentries={ds.entry_query.size}\thistories={lengths.size}\n"
         )
-        fh.writelines(f"{q}\t{i}\n" for q, i in entry_id)
-        fh.writelines(line + "\n" for line in hist_lines)
-        fh.writelines(row + "\n" for row in rows)
+        fh.writelines(map("%s\t%s\n".__mod__, zip(map(text, ds.entry_query.tolist()),
+                                                   map(text, ds.entry_item.tolist()))))
+        fh.writelines(" ".join(ids[a:b]) + "\n" for a, b in zip(bounds, bounds[1:]))
+        fh.writelines(map("%d\t%s\t%d\t%s\t%d\t%d\t%d\t%d\t%d\n".__mod__, zip(
+            ds.user_id.tolist(), map(text, ds.query_text_id.tolist()), ds.item_id.tolist(),
+            map(text, ds.item_text_id.tolist()), ds.category_match.tolist(),
+            ds.contains_query.tolist(), ds.rsl.tolist(), ds.click.tolist(),
+            ds.history_id.tolist(),
+        )))
 
 
 def parse_int(text: str, what: str, line_no: int, allowed=None) -> int:
@@ -838,19 +877,17 @@ def read_dataset(path) -> Dataset:
 
 
 def write_sidecar(samples: list[Sample], path: str) -> None:
-    """Ground-truth manifest, one row per sample in dataset order."""
+    """Ground-truth manifest, one row per sample in dataset order; every
+    sample is checked before the file is opened."""
+    truths = [s.truth for s in samples]
+    if any(t is None for t in truths):
+        raise ValidationError("sample has no ground truth to write")
+    columns = ([getattr(t, name) for t in truths] for name in SIDECAR_COLUMNS)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(SIDECAR_COLUMNS) + "\n")
-        for s in samples:
-            if s.truth is None:
-                raise ValidationError("sample has no ground truth to write")
-            t = s.truth
-            fh.write(
-                "\t".join(
-                    f"{v:.17g}" for v in (t.relevance, t.quality, t.sensitivity, t.true_click_prob)
-                )
-                + "\n"
-            )
+        # %-formatting gives the digits of format(v, ".17g")
+        fh.writelines(map("\t".join(["%.17g"] * len(SIDECAR_COLUMNS)).__add__("\n").__mod__,
+                          zip(*columns)))
 
 
 def read_sidecar(path: str) -> list[GroundTruth]:

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +130,24 @@ def test_gen_data_refuses_non_empty(pipe, tmp_path):
 
 def test_gen_data_zero_impressions(tmp_path):
     assert main(["gen-data", "--out-dir", str(tmp_path / "z"), "--n-impressions", "0"]) == 1
+
+
+def test_gen_data_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique can import numpy.ma on its first call, which costs a fresh
+    # process more than the generator's labels; gen-data's path has none
+    script = (
+        "import sys\n"
+        "from rankfuse.cli import main\n"
+        f"code = main(['gen-data', '--out-dir', {str(tmp_path / 'g')!r}, '--n-impressions', '300',"
+        " '--n-users', '5', '--n-items', '60', '--n-queries', '20'])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH"))
+        if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
 
 
 # ---------------------------------------------------------------------------

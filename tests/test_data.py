@@ -60,37 +60,64 @@ def test_assign_rsl_boundaries():
 # click model
 
 
-def test_simulate_click_neutral_point():
+def test_click_probability_neutral_point():
     cfg = dt.GeneratorConfig()
-    rng = np.random.default_rng(0)
-    _, p = dt.simulate_click(0.7, 0.5, 0.5, cfg, rng)
+    p = dt.click_probability(0.7, 0.5, 0.5, cfg)
     assert abs(p - 0.2689414213699951) < 1e-12
 
 
-def test_simulate_click_independences():
-    rng = np.random.default_rng(0)
+def test_click_probability_independences():
     no_rel = dt.GeneratorConfig(w_relevance=0.0)
-    ps = {dt.simulate_click(0.9, 0.4, r, no_rel, rng)[1] for r in (0.0, 0.3, 1.0)}
+    ps = {dt.click_probability(0.9, 0.4, r, no_rel) for r in (0.0, 0.3, 1.0)}
     assert len(ps) == 1
 
     cfg = dt.GeneratorConfig()
-    ps = {dt.simulate_click(0.0, 0.4, r, cfg, rng)[1] for r in (0.0, 0.3, 1.0)}
+    ps = {dt.click_probability(0.0, 0.4, r, cfg) for r in (0.0, 0.3, 1.0)}
     assert len(ps) == 1
 
     # sensitive user: probability strictly increasing in relevance
-    vals = [dt.simulate_click(0.9, 0.4, r, cfg, rng)[1] for r in (0.0, 0.5, 1.0)]
+    vals = [dt.click_probability(0.9, 0.4, r, cfg) for r in (0.0, 0.5, 1.0)]
     assert vals[0] < vals[1] < vals[2]
 
 
-def test_simulate_click_validates_range():
+def test_click_probability_validates_range():
     cfg = dt.GeneratorConfig()
-    rng = np.random.default_rng(0)
     with pytest.raises(ValidationError):
-        dt.simulate_click(1.2, 0.5, 0.5, cfg, rng)
+        dt.click_probability(1.2, 0.5, 0.5, cfg)
     with pytest.raises(ValidationError):
-        dt.simulate_click(0.5, -0.1, 0.5, cfg, rng)
+        dt.click_probability(0.5, -0.1, 0.5, cfg)
     with pytest.raises(ValidationError):
-        dt.simulate_click(0.5, 0.5, 1.1, cfg, rng)
+        dt.click_probability(0.5, 0.5, 1.1, cfg)
+
+
+_UNIT = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(_UNIT, _UNIT, _UNIT), min_size=1, max_size=40),
+       w=st.tuples(st.floats(-8, 8), st.floats(-8, 8), st.floats(-8, 8)))
+def test_array_oracles_equal_their_scalar_calls(rows, w):
+    cfg = dt.GeneratorConfig(w_quality=w[0], w_relevance=w[1], bias=w[2])
+    s, q, r = (np.array(col) for col in zip(*rows))
+    p = dt.click_probability(s, q, r, cfg)
+    assert p.shape == s.shape
+    assert p.tobytes() == np.array([dt.click_probability(*row, cfg) for row in rows]).tobytes()
+    levels = dt.assign_rsl(r, cfg.rsl_thresholds)
+    assert levels.tolist() == [dt.assign_rsl(v, cfg.rsl_thresholds) for v in r.tolist()]
+
+
+@pytest.mark.parametrize("bad", [-0.01, 1.01, float("nan")])
+def test_array_oracles_refuse_any_value_outside_unit_interval(bad):
+    cfg = dt.GeneratorConfig()
+    ok = np.array([0.0, 0.5, 1.0, 0.25])
+    mixed = np.array([0.0, 0.5, bad, 0.25])
+    with pytest.raises(ValidationError, match="relevance"):
+        dt.assign_rsl(mixed)
+    for k, name in enumerate(("sensitivity", "quality", "relevance")):
+        args = [ok, ok, ok]
+        args[k] = mixed
+        with pytest.raises(ValidationError, match=name):
+            dt.click_probability(*args, cfg)
 
 
 def test_generator_config_validation():
@@ -494,6 +521,46 @@ def test_forbidden_characters_rejected_on_write(tmp_path):
     s2 = dt.Sample(1, "cat a", 2, "cat a", 1, 1, 3, 0, [("", "cat a")])
     with pytest.raises(ValidationError):
         dt.write_dataset([s2], str(tmp_path / "y.tsv"))
+
+
+def test_first_faulty_sample_raises_on_write(tmp_path):
+    long_history = [(f"cat q{k}", "cat i") for k in range(dt.HISTORY_LIMIT + 1)]
+    bad_text = dt.Sample(1, "cat a;b", 2, "cat a", 1, 1, 3, 0, [])
+    too_long = dt.Sample(1, "cat a", 2, "cat a", 1, 1, 3, 0, long_history)
+    empty_entry = dt.Sample(1, "cat a", 2, "cat a", 1, 1, 3, 0, [("cat q", "")])
+    good = dt.Sample(1, "cat a", 2, "cat a", 1, 1, 3, 0, [])
+    path = tmp_path / "x.tsv"
+    for samples, words in (([good, bad_text, too_long], "query_text contains"),
+                           ([good, too_long, bad_text], "history longer than 50"),
+                           ([empty_entry, bad_text], "history entries must be non-empty")):
+        with pytest.raises(ValidationError, match=words):
+            dt.write_dataset(samples, str(path))
+        assert not path.exists()
+
+
+def test_dataset_read_from_a_file_is_written_by_first_use(tmp_path):
+    # histories listed out of first-use order, one unused, one written twice
+    hand = tmp_path / "hand.tsv"
+    hand.write_text(
+        "rankfuse-dataset\tversion=2\tentries=2\thistories=4\n"
+        "cat c\tcat c d\n"
+        "cat a\tcat a b\n"
+        "0\n"
+        "1\n"
+        "1 0\n"
+        "1 0\n"
+        "3\tcat a\t7\tcat a b\t1\t1\t4\t1\t3\n"
+        "4\tcat c\t8\tcat c d\t1\t1\t4\t0\t2\n"
+        "5\tcat c\t8\tcat c d\t1\t1\t4\t0\t1\n",
+        encoding="utf-8")
+    ds = dt.read_dataset(str(hand))
+    a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    dt.write_dataset(ds, str(a))
+    dt.write_dataset(list(ds), str(b))
+    assert a.read_bytes() == b.read_bytes()
+    assert a.read_text(encoding="utf-8").splitlines()[:5] == [
+        "rankfuse-dataset\tversion=2\tentries=2\thistories=2", "cat a\tcat a b", "cat c\tcat c d",
+        "0 1", "0"]
 
 
 def test_pair_key_separator_is_forbidden(tmp_path):
