@@ -712,6 +712,16 @@ def mlp_apply(layers: Sequence[DenseLayer], x) -> Tensor:
     return out
 
 
+class NoDraws:
+    """Stands in for the np.random.Generator of a parameter builder when only
+    the shapes are wanted, as a loader that overwrites every value wants
+    them: normal() gives zeros and draws nothing."""
+
+    @staticmethod
+    def normal(loc=0.0, scale=1.0, size=None) -> np.ndarray:
+        return np.zeros(size)
+
+
 def dense_layer(
     rng: np.random.Generator,
     fan_in: int,

@@ -360,6 +360,7 @@ def cmd_sweep(args) -> int:
     index = load_index(index_file)
     mcfg = cf.to_model_config(cfg, "full")
     cache = md.TrainingCache(train_samples, index, mcfg)
+    test_cache = md.TrainingCache(test_samples, index, mcfg)  # scored once per value
 
     series = ["value\tauc\tgauc\trelevance_score"]
     outputs = []
@@ -370,7 +371,7 @@ def cmd_sweep(args) -> int:
         tcfg = cf.to_train_config(run_cfg)
         params = md.build_model(mcfg)
         params, _ = tr.train_two_stage(cache, params, tcfg)
-        scores = md.score_dataset(params, test_samples, index, batch_size=cfg["batch_size"])
+        scores = md.score_cache(params, test_cache, batch_size=cfg["batch_size"])
         report = ev.evaluate_scores(ev.samples_to_impressions(test_samples, scores), index)
         row = {
             "variant": f"run{i}",

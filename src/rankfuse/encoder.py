@@ -15,6 +15,7 @@ batched with, so each fallback vector equals the one build_index stores.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -110,8 +111,9 @@ class EncoderParams:
         return list(self.params().values())
 
 
-def init_encoder(config: EncoderConfig) -> EncoderParams:
-    rng = np.random.default_rng(config.seed)
+def init_encoder(config: EncoderConfig, draw: bool = True) -> EncoderParams:
+    """Seeded initial weights; with draw=False, zeros of the same shapes."""
+    rng = np.random.default_rng(config.seed) if draw else ad.NoDraws()
     table = ad.Parameter(
         "enc.tokens",
         rng.normal(0.0, 0.1, size=(config.vocab_size + 2, config.d_raw)),
@@ -126,9 +128,9 @@ def init_encoder(config: EncoderConfig) -> EncoderParams:
     return EncoderParams(config, table, reduce, binary_head)
 
 
-def _add_rsl_head(params: EncoderParams):
+def _add_rsl_head(params: EncoderParams, draw: bool = True):
     if params.rsl_head is None:
-        rng = np.random.default_rng(params.config.seed + 1)
+        rng = np.random.default_rng(params.config.seed + 1) if draw else ad.NoDraws()
         params.rsl_head = ad.dense_layer(rng, params.config.d, 4, "linear", "enc.rsl_head", "stage1")
 
 
@@ -141,15 +143,14 @@ def _text_ids(params: EncoderParams, text: str) -> list[int]:
     return ids if ids else [params.cls_id]
 
 
-def _pair_ids(params: EncoderParams, query: str, item: str) -> list[int]:
+def _pair_id_lists(params: EncoderParams, pairs) -> list[list[int]]:
+    """The [CLS] query [SEP] item [SEP] token ids of each (query, item) pair,
+    each distinct text tokenized once."""
     v = params.config.vocab_size
-    return (
-        [params.cls_id]
-        + [token_id(t, v) for t in tokenize(query)]
-        + [params.sep_id]
-        + [token_id(t, v) for t in tokenize(item)]
-        + [params.sep_id]
-    )
+    words = {t: [token_id(w, v) for w in tokenize(t)]
+             for t in dict.fromkeys(itertools.chain.from_iterable(pairs))}
+    cls, sep = [params.cls_id], [params.sep_id]
+    return [cls + words[q] + sep + words[i] + sep for q, i in pairs]
 
 
 def encode_bags(params: EncoderParams, flat_ids: np.ndarray, offsets: np.ndarray) -> ad.Tensor:
@@ -184,7 +185,7 @@ def encode_pair(params: EncoderParams, pairs: Sequence[tuple[str, str]]) -> np.n
     """Unit-length relevance embeddings [n, d] of [CLS] query [SEP] item [SEP]
     for (query, item) pairs. A row's vector does not depend on the other rows."""
     _refuse_bare_str(pairs, "encode_pair")
-    return _encode_id_lists(params, [_pair_ids(params, q, i) for q, i in pairs])
+    return _encode_id_lists(params, _pair_id_lists(params, pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +199,7 @@ def _pair_bags(params: EncoderParams, labeled) -> tuple[np.ndarray, np.ndarray, 
     bag_of: dict[tuple[str, str], int] = {}
     bags = np.fromiter((bag_of.setdefault((q, i), len(bag_of)) for q, i, _ in labeled),
                        dtype=np.int64, count=len(labeled))
-    flat, offsets = kernels.ragged([_pair_ids(params, q, i) for q, i in bag_of])
+    flat, offsets = kernels.ragged(_pair_id_lists(params, list(bag_of)))
     return flat, offsets, bags
 
 
@@ -388,9 +389,9 @@ def load_encoder(path) -> EncoderParams:
     require_meta(path, meta, _ENCODER_META_INT + _ENCODER_META_FLOAT, "an encoder")
     kw: dict = {k: int(meta[k]) for k in _ENCODER_META_INT}
     kw.update({k: float(meta[k]) for k in _ENCODER_META_FLOAT})
-    params = init_encoder(EncoderConfig(**kw))
+    params = init_encoder(EncoderConfig(**kw), draw=False)
     if meta.get("has_rsl_head") == "1":
-        _add_rsl_head(params)
+        _add_rsl_head(params, draw=False)
     expected = params.params()
     if set(expected) != set(loaded):
         missing = sorted(set(expected) ^ set(loaded))

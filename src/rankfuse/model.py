@@ -71,16 +71,16 @@ class ModelConfig:
 # feature extraction (hashing trick over ids and tokens)
 
 
-def category_slot(text: str, config: ModelConfig) -> int:
-    toks = tokenize(text)
-    if not toks:
+def category_slot(tokens: list[str], config: ModelConfig) -> int:
+    """The category bucket of a tokenized text: its first token's, 0 if none."""
+    if not tokens:
         return 0
-    return token_id(toks[0], config.category_buckets)
+    return token_id(tokens[0], config.category_buckets)
 
 
-def token_slots(text: str, config: ModelConfig) -> list[int]:
-    """Sorted unique token buckets: a multi-hot id set."""
-    return sorted({token_id(t, config.token_buckets) for t in tokenize(text)})
+def token_slots(tokens: list[str], config: ModelConfig) -> list[int]:
+    """Sorted unique token buckets of a tokenized text: a multi-hot id set."""
+    return sorted({token_id(t, config.token_buckets) for t in tokens})
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +162,10 @@ def base_input_dim(config: ModelConfig) -> int:
     return n
 
 
-def build_model(config: ModelConfig) -> ModelParams:
-    """Deterministic seeded initialization of every parameter group."""
-    rng = np.random.default_rng(config.seed)
+def build_model(config: ModelConfig, draw: bool = True) -> ModelParams:
+    """Deterministic seeded initialization of every parameter group; with
+    draw=False, zeros of the same shapes and groups."""
+    rng = np.random.default_rng(config.seed) if draw else ad.NoDraws()
     sizes = {
         "user": config.user_buckets,
         "item": config.item_buckets,
@@ -245,7 +246,7 @@ def load_model(path: str) -> tuple[ModelParams, dict[str, str]]:
 
     loaded, meta = load_params(path, rerun="rankfuse train")
     config = config_from_meta(meta, path)
-    params = build_model(config)
+    params = build_model(config, draw=False)
     expected = params.all_params()
     if set(expected) != set(loaded):
         missing = sorted(set(expected) ^ set(loaded))
@@ -389,7 +390,7 @@ class TrainingCache:
         row_texts = order[in_rows[order]]
         bag = np.zeros(n_texts, dtype=np.int64)
         bag[row_texts] = np.arange(row_texts.size)
-        words = [texts[t] for t in row_texts.tolist()]
+        words = [tokenize(texts[t]) for t in row_texts.tolist()]
         category = np.array([category_slot(w, config) for w in words], dtype=np.int64)
         self.tok_flat, self.tok_off = kernels.ragged([token_slots(w, config) for w in words])
         self.qbag, self.ibag = bag[ds.query_text_id], bag[ds.item_text_id]
@@ -602,13 +603,21 @@ def score_batch(params: ModelParams, batch: Batch) -> dict[str, ad.Tensor]:
     return out
 
 
-def _score_chunks(params: ModelParams, samples: list[Sample], index: EmbeddingIndex, batch_size: int):
-    """(rows, score_batch outputs) over the sample list in chunks of batch_size,
-    no tape."""
-    cache = TrainingCache(samples, index, params.config)
-    for lo in range(0, len(samples), batch_size):
-        rows = np.arange(lo, min(lo + batch_size, len(samples)), dtype=np.int64)
+def _score_chunks(params: ModelParams, cache: TrainingCache, batch_size: int):
+    """(rows, score_batch outputs) over the cache's rows in chunks of
+    batch_size, no tape."""
+    for lo in range(0, cache.n, batch_size):
+        rows = np.arange(lo, min(lo + batch_size, cache.n), dtype=np.int64)
         yield rows, score_batch(params, cache.batch(rows))
+
+
+def score_cache(params: ModelParams, cache: TrainingCache, batch_size: int = SCORE_BATCH) -> np.ndarray:
+    """Final scores of every row of a cache built for params.config, batched,
+    no tape; a cache can be scored by many models."""
+    out = np.empty(cache.n)
+    for rows, scores in _score_chunks(params, cache, batch_size):
+        out[rows] = scores["final"].data
+    return out
 
 
 def score_dataset(
@@ -618,10 +627,7 @@ def score_dataset(
     batch_size: int = SCORE_BATCH,
 ) -> np.ndarray:
     """Final scores for a sample list, batched, no tape."""
-    out = np.empty(len(samples))
-    for rows, scores in _score_chunks(params, samples, index, batch_size):
-        out[rows] = scores["final"].data
-    return out
+    return score_cache(params, TrainingCache(samples, index, params.config), batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +656,7 @@ def personalized_score(
     if params.config.variant == "base-only":
         raise ValidationError("base-only variant has no fusion breakdown")
     out = []
-    for _, scores in _score_chunks(params, samples, index, SCORE_BATCH):
+    for _, scores in _score_chunks(params, TrainingCache(samples, index, params.config), SCORE_BATCH):
         parts = (scores[k].data for k in ("rsl", "base", "fused", "tau", "final"))
         out.extend(
             ScoreBreakdown(rsl, base, float(fused), float(tau), float(final))

@@ -388,6 +388,24 @@ def test_sweep_repeated_value_identical_rows(pipe, tmp_path):
     assert series[1].split("\t")[1:] == series[2].split("\t")[1:]
 
 
+def test_sweep_builds_one_cache_per_split(pipe, tmp_path, monkeypatch):
+    built = []
+    init = md.TrainingCache.__init__
+
+    def counted(self, samples, *args):
+        built.append(len(samples))
+        init(self, samples, *args)
+
+    monkeypatch.setattr(md.TrainingCache, "__init__", counted)
+    code = main(
+        ["sweep", "--param", "gamma", "--values", "0,0.3,1",
+         "--train-file", str(pipe["train"]), "--test-file", str(pipe["test"]),
+         "--index", str(pipe["index"]), "--out-dir", str(tmp_path / "sw")] + TRAIN_FLAGS
+    )
+    assert code == 0
+    assert built == [len(dt.read_dataset(pipe[k])) for k in ("train", "test")]
+
+
 def test_sweep_needs_two_values(pipe, tmp_path):
     for n, values in enumerate(("4", "nan,4", "4,inf")):
         code = main(

@@ -88,6 +88,19 @@ def test_encode_pair_unit_norm_and_structure():
     assert not np.allclose(v, w)
 
 
+def test_pair_ids_tokenize_each_text_once(monkeypatch):
+    params = enc.init_encoder(small_config())
+    pairs = [("red shoe", "red shoe box"), ("red shoe", "blue hat"), ("", "Red Shoe"),
+             ("blue hat", "red shoe box")]
+    v, cls, sep = params.config.vocab_size, params.cls_id, params.sep_id
+    expect = [[cls] + [enc.token_id(t, v) for t in q.lower().split()] + [sep]
+              + [enc.token_id(t, v) for t in i.lower().split()] + [sep] for q, i in pairs]
+    calls = []
+    monkeypatch.setattr(enc, "tokenize", lambda text: calls.append(text) or text.lower().split())
+    assert enc._pair_id_lists(params, pairs) == expect
+    assert sorted(calls) == sorted({t for pair in pairs for t in pair})
+
+
 def test_encode_refuses_a_bare_str():
     # a str is a sequence of one-character texts; taking it as one would
     # encode "red shoe" letter by letter
@@ -220,6 +233,23 @@ def test_index_roundtrip_and_byte_identical_rebuild(tmp_path):
         assert (loaded.text[key] == vec).all()
     for key, vec in index.pair.items():
         assert (loaded.pair[key] == vec).all()
+
+
+@pytest.mark.parametrize("rsl_head", [False, True])
+def test_load_encoder_draws_no_random_values(tmp_path, monkeypatch, rsl_head):
+    params = enc.init_encoder(small_config())
+    if rsl_head:
+        enc.finetune_encoder(params, [], small_config())  # adds the head only
+    path = tmp_path / "encoder.ckpt"
+    enc.save_encoder(params, path)
+
+    def no_draws(*_):
+        raise AssertionError("a random generator was made")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    back = enc.load_encoder(path)
+    assert (back.rsl_head is not None) == rsl_head
+    assert enc.encoder_digest(back) == enc.encoder_digest(params)
 
 
 def test_lookup_hit_miss_and_counter():

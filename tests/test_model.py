@@ -137,6 +137,25 @@ def test_checkpoint_roundtrip(tmp_path):
         md.load_model(str(tmp_path / "bad.ckpt"))
 
 
+@pytest.mark.parametrize("kw", [{}, {"use_wide": True}, {"variant": "base-only"},
+                                {"variant": "no-prim", "head_count": 2}])
+def test_load_model_draws_no_random_values(tmp_path, monkeypatch, kw):
+    params = md.build_model(tiny_config(**kw))
+    path = str(tmp_path / "model.ckpt")
+    md.save_model(params, path)
+    shapes = md.build_model(params.config, draw=False).all_params()
+    assert {k: (p.data.shape, p.group) for k, p in shapes.items()} == {
+        k: (p.data.shape, p.group) for k, p in params.all_params().items()}
+
+    def no_draws(*_):
+        raise AssertionError("a random generator was made")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    back, _ = md.load_model(path)
+    assert back.config == params.config
+    assert params_digest(back.all_params()) == params_digest(params.all_params())
+
+
 # ---------------------------------------------------------------------------
 # forwards
 
@@ -694,7 +713,7 @@ def test_cache_from_dataset_works_per_distinct_text(tmp_path, monkeypatch):
     path = tmp_path / "data.tsv"
     dt.write_dataset(samples, str(path))
     ds = dt.read_dataset(str(path))
-    calls = {"token_slots": 0, "category_slot": 0}
+    calls = {"token_slots": 0, "category_slot": 0, "tokenize": 0}
 
     def counted(fn):
         def wrapper(*args):
@@ -713,7 +732,7 @@ def test_cache_from_dataset_works_per_distinct_text(tmp_path, monkeypatch):
     cfg = tiny_config()
     cache = md.TrainingCache(ds, make_index(samples, cfg.d), cfg)
     row_texts = {s.query_text for s in samples} | {s.item_text for s in samples}
-    assert calls == {"token_slots": len(row_texts), "category_slot": len(row_texts)}
+    assert calls == dict.fromkeys(("token_slots", "category_slot", "tokenize"), len(row_texts))
     assert len(row_texts) < len(samples)
     monkeypatch.undo()
     from_list = md.TrainingCache(samples, make_index(samples, cfg.d), cfg)
