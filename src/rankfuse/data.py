@@ -453,8 +453,8 @@ def generate_corpus(config: GeneratorConfig) -> tuple[list[Sample], dict]:
     sensitivity = rng.beta(config.sensitivity_a, config.sensitivity_b, size=config.n_users)
 
     # per query, the pools of the descriptor-variant and same-category modes
-    pools = [(variants_of.get(src) or by_category[item_cat[src]], by_category[item_cat[src]])
-             for src in query_source]
+    same_category = [by_category[item_cat[src]] for src in query_source]
+    variants = [variants_of.get(src) or pool for src, pool in zip(query_source, same_category)]
     # per impression: user, query, mode, pool index or item, click uniform
     integers, uniform = rng.integers, rng.random
     n_users, n_queries, n_items = config.n_users, config.n_queries, config.n_items
@@ -465,8 +465,11 @@ def generate_corpus(config: GeneratorConfig) -> tuple[list[Sample], dict]:
         mode = uniform()
         if mode < 0.25:
             j = query_source[q]
+        elif mode < 0.5:
+            pool = variants[q]
+            j = pool[integers(len(pool))]
         elif mode < 0.75:
-            pool = pools[q][mode >= 0.5]
+            pool = same_category[q]
             j = pool[integers(len(pool))]
         else:
             j = integers(n_items)
