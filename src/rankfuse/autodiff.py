@@ -172,6 +172,27 @@ def zero_grad(params: Iterable[Parameter]):
         p.zero_grad()
 
 
+def sgd_step(
+    params: Iterable[Parameter],
+    rates: dict[str, float],
+    momentum: float = 0.0,
+    velocities: dict[str, np.ndarray] | None = None,
+) -> None:
+    """Plain SGD per learning-rate group; optional heavy-ball momentum."""
+    for p in params:
+        lr = rates.get(p.group)
+        if lr is None:
+            continue
+        if momentum > 0.0:
+            assert velocities is not None
+            v = velocities.setdefault(p.name, np.zeros_like(p.data))
+            v *= momentum
+            v += p.grad
+            p.data -= lr * v
+        else:
+            p.data -= lr * p.grad
+
+
 # ---------------------------------------------------------------------------
 # recording helpers
 
@@ -735,13 +756,6 @@ def dense_layer(
     W = Parameter(f"{name}.W", rng.normal(0.0, scale, size=(fan_in, fan_out)), group)
     b = Parameter(f"{name}.b", np.zeros(fan_out), group)
     return DenseLayer(W, b, activation)
-
-
-def mlp_params(layers: Sequence[DenseLayer]) -> list[Parameter]:
-    out: list[Parameter] = []
-    for layer in layers:
-        out.extend(layer.params())
-    return out
 
 
 # ---------------------------------------------------------------------------

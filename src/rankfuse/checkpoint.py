@@ -124,6 +124,23 @@ def load_params(path, rerun: str = "the command that wrote it") -> tuple[dict[st
     return params, meta
 
 
+def fill_params(path, expected: dict[str, Parameter], loaded: dict[str, Parameter]) -> None:
+    """Copy the values of `loaded` (read from `path`) into `expected`; a
+    DatasetParseError naming `path` unless both hold the same names and each
+    parameter the same shape and group."""
+    if set(expected) != set(loaded):
+        differ = sorted(set(expected) ^ set(loaded))
+        raise DatasetParseError(None, f"{path}: parameter names do not match the meta: {differ[:4]}")
+    for name, p in expected.items():
+        q = loaded[name]
+        if q.data.shape != p.data.shape or q.group != p.group:
+            raise DatasetParseError(
+                None, f"{path}: parameter {name} is {q.group} {q.data.shape}, "
+                f"expected {p.group} {p.data.shape}"
+            )
+        p.data[...] = q.data
+
+
 # a meta key that only one checkpoint kind writes, and that kind's name
 _KIND_MARKERS = (("variant", "a model"), ("vocab_size", "an encoder"))
 

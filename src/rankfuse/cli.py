@@ -154,74 +154,50 @@ def cmd_encoder(args) -> int:
     out = _prepare_out_dir(args.out_dir, args.force)
     inputs = [args.config] if args.config else []
 
+    if args.encoder_command == "build-index":
+        ckpt_in = _require(args.checkpoint, "encoder checkpoint")
+        if not args.dataset_file:
+            raise ValidationError("build-index needs at least one --dataset-file")
+        inputs.append(ckpt_in)
+        params = load_encoder(ckpt_in)
+        # every text of the text table (history items too) and every pair of the
+        # rows and the entry table
+        texts: set[str] = set()
+        pairs: set[tuple[str, str]] = set()
+        for dataset_path in args.dataset_file:
+            dataset_path = _require(dataset_path, "dataset file")
+            inputs.append(dataset_path)
+            dataset = dt.read_dataset(dataset_path)
+            texts.update(dataset.texts)
+            pairs.update(dataset.pairs())
+        index = build_index(params, sorted(texts), sorted(pairs), encoder_digest(params))
+        index_path = out / "index.tsv"
+        save_index(index, index_path)
+        outputs = [index_path, cf.write_resolved(cfg, out)]
+        _write_manifest(out, "encoder-build-index", cfg, inputs, outputs, started)
+        print(f"build-index: {len(index.text)} texts, {len(index.pair)} pairs -> {index_path}")
+        return 0
+
     if args.encoder_command == "pretrain":
         train_file = _require(args.train_file, "train split")
         inputs.append(train_file)
-        pairs = dt.read_dataset(train_file).labeled_pairs("click")
-        params, trace = pretrain_encoder(pairs, cf.to_encoder_config(cfg))
-        ckpt = out / "encoder.ckpt"
-        save_encoder(params, ckpt)
-        log = _write_lines(
-            out / "encoder.log", [f"{e}\t{loss:.10f}" for e, loss in enumerate(trace)]
-        )
-        outputs = [ckpt, log, cf.write_resolved(cfg, out)]
-        _write_manifest(out, "encoder-pretrain", cfg, inputs, outputs, started)
-        print(f"encoder pretrain: {len(pairs)} pairs, {len(trace)} epochs -> {ckpt}")
-        return 0
-
-    if args.encoder_command == "finetune":
+        labeled = dt.read_dataset(train_file).labeled_pairs("click")
+        params, trace = pretrain_encoder(labeled, cf.to_encoder_config(cfg))
+    else:
         ckpt_in = _require(args.checkpoint, "encoder checkpoint")
         train_file = _require(args.train_file, "train split")
         inputs.extend([ckpt_in, train_file])
         params = load_encoder(ckpt_in)
         # architecture comes from the checkpoint; rates come from the config
-        merged = dict(
-            vocab_size=params.config.vocab_size,
-            d_raw=params.config.d_raw,
-            d=params.config.d,
-            seed=cfg["seed"],
-            lr=cfg["encoder_lr"],
-            batch_size=cfg["encoder_batch_size"],
-            epochs=cfg["encoder_epochs"],
-            finetune_lr_factor=cfg["finetune_lr_factor"],
-            finetune_epochs=cfg["finetune_epochs"],
-        )
-        from .encoder import EncoderConfig
-
+        arch = {k: getattr(params.config, k) for k in ("vocab_size", "d_raw", "d")}
         labeled = dt.read_dataset(train_file).labeled_pairs("rsl")
-        params, trace = finetune_encoder(params, labeled, EncoderConfig(**merged))
-        ckpt = out / "encoder.ckpt"
-        save_encoder(params, ckpt)
-        log = _write_lines(
-            out / "encoder.log", [f"{e}\t{loss:.10f}" for e, loss in enumerate(trace)]
-        )
-        outputs = [ckpt, log, cf.write_resolved(cfg, out)]
-        _write_manifest(out, "encoder-finetune", cfg, inputs, outputs, started)
-        print(f"encoder finetune: {len(labeled)} pairs, {len(trace)} epochs -> {ckpt}")
-        return 0
-
-    # build-index
-    ckpt_in = _require(args.checkpoint, "encoder checkpoint")
-    if not args.dataset_file:
-        raise ValidationError("build-index needs at least one --dataset-file")
-    inputs.append(ckpt_in)
-    params = load_encoder(ckpt_in)
-    # every text of the text table (history items too) and every pair of the
-    # rows and the entry table
-    texts: set[str] = set()
-    pairs: set[tuple[str, str]] = set()
-    for dataset_path in args.dataset_file:
-        dataset_path = _require(dataset_path, "dataset file")
-        inputs.append(dataset_path)
-        dataset = dt.read_dataset(dataset_path)
-        texts.update(dataset.texts)
-        pairs.update(dataset.pairs())
-    index = build_index(params, sorted(texts), sorted(pairs), encoder_digest(params))
-    index_path = out / "index.tsv"
-    save_index(index, index_path)
-    outputs = [index_path, cf.write_resolved(cfg, out)]
-    _write_manifest(out, "encoder-build-index", cfg, inputs, outputs, started)
-    print(f"build-index: {len(index.text)} texts, {len(index.pair)} pairs -> {index_path}")
+        params, trace = finetune_encoder(params, labeled, cf.to_encoder_config({**cfg, **arch}))
+    ckpt = out / "encoder.ckpt"
+    save_encoder(params, ckpt)
+    log = _write_lines(out / "encoder.log", [f"{e}\t{loss:.10f}" for e, loss in enumerate(trace)])
+    outputs = [ckpt, log, cf.write_resolved(cfg, out)]
+    _write_manifest(out, f"encoder-{args.encoder_command}", cfg, inputs, outputs, started)
+    print(f"encoder {args.encoder_command}: {len(labeled)} pairs, {len(trace)} epochs -> {ckpt}")
     return 0
 
 

@@ -4,7 +4,8 @@ The generator builds a small e-commerce world (users with heterogeneous
 relevance sensitivity, items with categories/descriptors/quality, queries
 derived from items) and simulates click logs over it. True relevance, item
 quality, user sensitivity and the click probability live in a sidecar
-manifest that the model-visible dataset never contains.
+manifest that the model-visible dataset never contains; it is written for
+inspection, and no stage reads it.
 
 Dataset files store each distinct click history once, in a history table
 that rows refer to by id (see write_dataset); the per-row format before it
@@ -246,8 +247,8 @@ class Dataset(Sequence):
     def pairs(self) -> list[tuple[str, str]]:
         """The distinct (query, item) pairs of the rows and the entry table."""
         n = len(self.texts)
-        keys = np.unique(np.concatenate([self.query_text_id * n + self.item_text_id,
-                                         self.entry_query * n + self.entry_item]))
+        keys, _ = kernels.distinct(np.concatenate([self.query_text_id * n + self.item_text_id,
+                                                   self.entry_query * n + self.entry_item]))
         t = self.texts
         return [(t[q], t[i]) for q, i in zip((keys // n).tolist(), (keys % n).tolist())]
 
@@ -262,13 +263,22 @@ def _numbered(keys) -> dict:
 # ---------------------------------------------------------------------------
 # relevance and click oracles
 #
-# The text oracles are thin wrappers over token-level cores, which the
-# generator calls once per distinct (query, item) pair on token lists it
-# tokenized once per text. assign_rsl and click_probability work on arrays
-# element by element, and give a plain number for plain-number inputs.
+# The relevance oracle and the flag core take token lists, which the
+# generator makes once per text and calls once per distinct (query, item)
+# pair. assign_rsl and click_probability work on arrays element by element,
+# and give a plain number for plain-number inputs.
 
 
-def _relevance(qt: list[str], it: list[str]) -> float:
+def ground_truth_relevance(query_tokens: list[str], item_tokens: list[str]) -> float:
+    """Weighted token overlap in [0,1]; 0.5 for category match, 0.5 scaled
+    by descriptor-set Jaccard.
+
+    The first token of each text is its category. When both descriptor sets
+    are empty the Jaccard part follows the category (identical single-token
+    texts are fully relevant, disjoint ones fully irrelevant). Any empty
+    text scores 0.
+    """
+    qt, it = query_tokens, item_tokens
     if not qt or not it:
         return 0.0
     cat = 1.0 if qt[0] == it[0] else 0.0
@@ -279,18 +289,6 @@ def _relevance(qt: list[str], it: list[str]) -> float:
         union = qd | idd
         jac = len(qd & idd) / len(union)
     return 0.5 * cat + 0.5 * jac
-
-
-def ground_truth_relevance(query_text: str, item_text: str) -> float:
-    """Weighted token overlap in [0,1]; 0.5 for category match, 0.5 scaled
-    by descriptor-set Jaccard.
-
-    The first token of each text is its category. When both descriptor sets
-    are empty the Jaccard part follows the category (identical single-token
-    texts are fully relevant, disjoint ones fully irrelevant). Any empty
-    text scores 0.
-    """
-    return _relevance(tokenize(query_text), tokenize(item_text))
 
 
 def _flags(qt: list[str], it: list[str]) -> tuple[int, int]:
@@ -353,20 +351,6 @@ def _pick(rng: np.random.Generator, pool: list[str], k: int) -> list[str]:
     """k distinct elements of pool, by the draws of
     rng.choice(pool, size=k, replace=False), without making pool an array."""
     return [pool[i] for i in rng.choice(len(pool), size=k, replace=False).tolist()]
-
-
-def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(the distinct keys, sorted; per key, its index among them), as
-    np.unique(keys, return_inverse=True) gives them, by one sort. np.unique
-    can import numpy.ma on its first call, which would cost gen-data's fresh
-    process more than its labels."""
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    new = np.ones(ordered.size, dtype=bool)
-    new[1:] = ordered[1:] != ordered[:-1]
-    inverse = np.empty(ordered.size, dtype=np.int64)
-    inverse[order] = np.cumsum(new) - 1
-    return ordered[new], inverse
 
 
 def generate_corpus(config: GeneratorConfig) -> tuple[list[Sample], dict]:
@@ -481,12 +465,13 @@ def generate_corpus(config: GeneratorConfig) -> tuple[list[Sample], dict]:
     item = np.array(items, dtype=np.int64)
 
     # labels once per distinct (query, item) pair, on texts tokenized once
-    pair_keys, pair_of = _distinct(query * n_items + item)
+    pair_keys, pair_of = kernels.distinct(query * n_items + item)
     pair_q, pair_j = (pair_keys // n_items).tolist(), (pair_keys % n_items).tolist()
     query_tokens = {q: tokenize(query_text[q]) for q in set(pair_q)}
     item_tokens = {j: tokenize(item_text[j]) for j in set(pair_j)}
     pair_tokens = [(query_tokens[q], item_tokens[j]) for q, j in zip(pair_q, pair_j)]
-    pair_relevance = np.array([_relevance(qt, it) for qt, it in pair_tokens], dtype=np.float64)
+    pair_relevance = np.array([ground_truth_relevance(qt, it) for qt, it in pair_tokens],
+                              dtype=np.float64)
     pair_flags = np.array([_flags(qt, it) for qt, it in pair_tokens], dtype=np.int64).reshape(-1, 2)
     relevance = pair_relevance[pair_of]
     rsl = assign_rsl(pair_relevance, config.rsl_thresholds)[pair_of]
@@ -891,34 +876,3 @@ def write_sidecar(samples: list[Sample], path: str) -> None:
         # %-formatting gives the digits of format(v, ".17g")
         fh.writelines(map("\t".join(["%.17g"] * len(SIDECAR_COLUMNS)).__add__("\n").__mod__,
                           zip(*columns)))
-
-
-def read_sidecar(path: str) -> list[GroundTruth]:
-    truths = []
-    with open_text(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if header.split("\t") != list(SIDECAR_COLUMNS):
-            raise DatasetParseError(1, "bad sidecar header")
-        for line_no, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != len(SIDECAR_COLUMNS):
-                raise DatasetParseError(
-                    line_no, f"expected {len(SIDECAR_COLUMNS)} columns, got {len(parts)}"
-                )
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError:
-                raise DatasetParseError(line_no, "bad float field") from None
-            truths.append(GroundTruth(*vals))
-    return truths
-
-
-def attach_sidecar(samples, truths: list[GroundTruth]) -> list[Sample]:
-    """Pairs truth rows back onto samples (dataset order); returns them as a
-    list, since the Samples a Dataset gives are built afresh on each access."""
-    samples = list(samples)
-    if len(samples) != len(truths):
-        raise ValidationError(f"{len(samples)} samples but {len(truths)} truth rows")
-    for s, t in zip(samples, truths):
-        s.truth = t
-    return samples

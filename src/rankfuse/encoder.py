@@ -101,11 +101,10 @@ class EncoderParams:
         return self.config.vocab_size + 1
 
     def params(self) -> dict[str, ad.Parameter]:
-        out = {self.token_table.name: self.token_table}
-        for layer in self.reduce + [self.binary_head] + ([self.rsl_head] if self.rsl_head else []):
-            for p in layer.params():
-                out[p.name] = p
-        return out
+        layers = [*self.reduce, self.binary_head, self.rsl_head]
+        params = [self.token_table,
+                  *(p for layer in layers if layer is not None for p in layer.params())]
+        return {p.name: p for p in params}
 
     def trainable(self) -> list[ad.Parameter]:
         return list(self.params().values())
@@ -203,6 +202,31 @@ def _pair_bags(params: EncoderParams, labeled) -> tuple[np.ndarray, np.ndarray, 
     return flat, offsets, bags
 
 
+def _fit(params: EncoderParams, labeled, batch_size: int, epochs: int, lr: float, seed: int,
+         head_loss) -> list[float]:
+    """The epoch loop of both encoder stages: SGD on the labeled triples'
+    pair bags in a seeded order, with `head_loss(embeddings, rows)` as the
+    loss of a batch. Returns the per-epoch mean loss."""
+    bag_flat, bag_off, bags = _pair_bags(params, labeled)
+    rng = np.random.default_rng(seed)
+    trainable = params.trainable()
+    trace = []
+    for _ in range(epochs):
+        order = rng.permutation(len(labeled))
+        epoch_losses = []
+        for lo in range(0, len(order), batch_size):
+            rows = order[lo : lo + batch_size]
+            flat, offsets = kernels.gather_segments(bag_flat, bag_off, bags[rows])
+            ad.zero_grad(trainable)
+            with ad.Tape() as tape:
+                loss = head_loss(encode_bags(params, flat, offsets), rows)
+            tape.backward(loss)
+            ad.sgd_step(trainable, {"stage1": lr})
+            epoch_losses.append(loss.item())
+        trace.append(float(np.mean(epoch_losses)))
+    return trace
+
+
 def pretrain_encoder(
     pairs: list[tuple[str, str, int]], config: EncoderConfig
 ) -> tuple[EncoderParams, list[float]]:
@@ -213,37 +237,22 @@ def pretrain_encoder(
     """
     if not pairs:
         raise ValidationError("pretrain needs at least one pair")
-    labels_all = np.array([int(c) for _, _, c in pairs], dtype=np.float64)
-    if labels_all.min() == labels_all.max():
+    labels = np.array([int(c) for _, _, c in pairs], dtype=np.float64)
+    if labels.min() == labels.max():
         raise TrainingError("pretrain needs both clicked and unclicked pairs")
 
     params = init_encoder(config)
     if config.epochs == 0:
         return params, []
 
-    bag_flat, bag_off, bags = _pair_bags(params, pairs)
-    rng = np.random.default_rng(config.seed + 17)
-    trainable = params.trainable()
-    trace = []
-    for _ in range(config.epochs):
-        order = rng.permutation(len(pairs))
-        epoch_losses = []
-        for lo in range(0, len(order), config.batch_size):
-            rows = order[lo : lo + config.batch_size]
-            flat, offsets = kernels.gather_segments(bag_flat, bag_off, bags[rows])
-            y = labels_all[rows]
-            ad.zero_grad(trainable)
-            with ad.Tape() as tape:
-                emb = encode_bags(params, flat, offsets)
-                logits = ad.affine(emb, params.binary_head.W, params.binary_head.b)
-                p = ad.sigmoid(logits.reshape((rows.size,)))
-                loss = -(
-                    ad.Tensor(y) * ad.log(p) + ad.Tensor(1.0 - y) * ad.log(1.0 - p)
-                ).mean()
-            tape.backward(loss)
-            _sgd(trainable, config.lr)
-            epoch_losses.append(loss.item())
-        trace.append(float(np.mean(epoch_losses)))
+    def head_loss(emb, rows):
+        logits = ad.affine(emb, params.binary_head.W, params.binary_head.b)
+        p = ad.sigmoid(logits.reshape((rows.size,)))
+        y = labels[rows]
+        return -(ad.Tensor(y) * ad.log(p) + ad.Tensor(1.0 - y) * ad.log(1.0 - p)).mean()
+
+    trace = _fit(params, pairs, config.batch_size, config.epochs, config.lr, config.seed + 17,
+                 head_loss)
     return params, trace
 
 
@@ -263,33 +272,15 @@ def finetune_encoder(
     if not labeled_pairs or lr == 0.0 or config.finetune_epochs == 0:
         return params, []
 
-    bag_flat, bag_off, bags = _pair_bags(params, labeled_pairs)
     labels = np.array([rsl - 1 for _, _, rsl in labeled_pairs], dtype=np.int64)
-    rng = np.random.default_rng(config.seed + 29)
-    trainable = params.trainable()
-    trace = []
-    for _ in range(config.finetune_epochs):
-        order = rng.permutation(len(labeled_pairs))
-        epoch_losses = []
-        for lo in range(0, len(order), config.batch_size):
-            rows = order[lo : lo + config.batch_size]
-            flat, offsets = kernels.gather_segments(bag_flat, bag_off, bags[rows])
-            ad.zero_grad(trainable)
-            with ad.Tape() as tape:
-                emb = encode_bags(params, flat, offsets)
-                logits = ad.affine(emb, params.rsl_head.W, params.rsl_head.b)
-                logp = ad.log_softmax(logits)
-                loss = -ad.select_columns(logp, labels[rows]).mean()
-            tape.backward(loss)
-            _sgd(trainable, lr)
-            epoch_losses.append(loss.item())
-        trace.append(float(np.mean(epoch_losses)))
+
+    def head_loss(emb, rows):
+        logits = ad.affine(emb, params.rsl_head.W, params.rsl_head.b)
+        return -ad.select_columns(ad.log_softmax(logits), labels[rows]).mean()
+
+    trace = _fit(params, labeled_pairs, config.batch_size, config.finetune_epochs, lr,
+                 config.seed + 29, head_loss)
     return params, trace
-
-
-def _sgd(params: list[ad.Parameter], lr: float):
-    for p in params:
-        p.data -= lr * p.grad
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +374,7 @@ def save_encoder(params: EncoderParams, path) -> None:
 
 def load_encoder(path) -> EncoderParams:
     """Rebuild an EncoderParams from a checkpoint; shapes are re-validated."""
-    from .checkpoint import load_params, require_meta
+    from .checkpoint import fill_params, load_params, require_meta
 
     loaded, meta = load_params(path, rerun="rankfuse encoder pretrain/finetune")
     require_meta(path, meta, _ENCODER_META_INT + _ENCODER_META_FLOAT, "an encoder")
@@ -392,14 +383,7 @@ def load_encoder(path) -> EncoderParams:
     params = init_encoder(EncoderConfig(**kw), draw=False)
     if meta.get("has_rsl_head") == "1":
         _add_rsl_head(params, draw=False)
-    expected = params.params()
-    if set(expected) != set(loaded):
-        missing = sorted(set(expected) ^ set(loaded))
-        raise ValidationError(f"encoder checkpoint parameter set mismatch: {missing[:4]}")
-    for name, p in expected.items():
-        if loaded[name].data.shape != p.data.shape:
-            raise ValidationError(f"encoder checkpoint parameter {name} has wrong shape")
-        p.data[...] = loaded[name].data
+    fill_params(path, params.params(), loaded)
     return params
 
 

@@ -1,6 +1,6 @@
 """Embedding-bag kernels on ``np.bincount``: segment means and their
-gradient, row scatter-adds, history padding, and the CSR helpers that build
-and gather bags.
+gradient, row scatter-adds, history padding, the CSR helpers that build
+and gather bags, and the one sort-based dedupe.
 
 Bags are offset-delimited: ``ids`` is a flat row-index array and ``offsets``
 (length m+1) delimits the m segments. ``np.bincount`` adds its weights into
@@ -62,6 +62,20 @@ def segment_mean_grad(grad_table: np.ndarray, ids: np.ndarray, offsets: np.ndarr
     scaled = grad_out / np.maximum(lengths, 1)[:, None]
     # the private helper, so that a traced run counts this as one kernel call
     _scatter_add(grad_table, np.asarray(ids, dtype=np.int64), scaled[seg])
+
+
+def distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct keys, sorted; per key, its index among them), as
+    np.unique(keys, return_inverse=True) gives them, by one sort. A plain
+    np.unique imports numpy.ma on its first call, which costs a fresh CLI
+    process more than the keys do."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    new = np.ones(ordered.size, dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty(ordered.size, dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
 
 
 def pad_segments(ids: np.ndarray, offsets: np.ndarray, width: int):

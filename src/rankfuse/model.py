@@ -117,25 +117,11 @@ class ModelParams:
     incentive_layers: list[ad.DenseLayer] | None = None
 
     def all_params(self) -> dict[str, ad.Parameter]:
-        out = {p.name: p for p in self.embeddings.values()}
-        for layer in self.base_layers:
-            for p in layer.params():
-                out[p.name] = p
-        if self.wide is not None:
-            for p in self.wide.params():
-                out[p.name] = p
-        if self.rsl_layers is not None:
-            for layer in self.rsl_layers:
-                for p in layer.params():
-                    out[p.name] = p
-        if self.attention is not None:
-            for p in self.attention.params():
-                out[p.name] = p
-        if self.incentive_layers is not None:
-            for layer in self.incentive_layers:
-                for p in layer.params():
-                    out[p.name] = p
-        return out
+        parts = [*self.base_layers, self.wide, *(self.rsl_layers or ()), self.attention,
+                 *(self.incentive_layers or ())]
+        params = [*self.embeddings.values(),
+                  *(p for part in parts if part is not None for p in part.params())]
+        return {p.name: p for p in params}
 
     def by_group(self) -> dict[str, list[ad.Parameter]]:
         groups: dict[str, list[ad.Parameter]] = {}
@@ -242,20 +228,11 @@ def save_model(params: ModelParams, path: str, extra_meta: dict[str, str] | None
 
 def load_model(path: str) -> tuple[ModelParams, dict[str, str]]:
     """Rebuild a ModelParams from a checkpoint; shapes are re-validated."""
-    from .checkpoint import load_params
+    from .checkpoint import fill_params, load_params
 
     loaded, meta = load_params(path, rerun="rankfuse train")
-    config = config_from_meta(meta, path)
-    params = build_model(config, draw=False)
-    expected = params.all_params()
-    if set(expected) != set(loaded):
-        missing = sorted(set(expected) ^ set(loaded))
-        raise ValidationError(f"checkpoint parameter set mismatch: {missing[:4]}")
-    for name, p in expected.items():
-        q = loaded[name]
-        if q.data.shape != p.data.shape or q.group != p.group:
-            raise ValidationError(f"checkpoint parameter {name} has wrong shape or group")
-        p.data[...] = q.data
+    params = build_model(config_from_meta(meta, path), draw=False)
+    fill_params(path, params.all_params(), loaded)
     return params, meta
 
 

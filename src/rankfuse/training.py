@@ -22,6 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import kernels
+from .autodiff import sgd_step
 from .errors import TrainingError, ValidationError
 from .model import ModelParams, TrainingCache, rsl_logits_batch, score_batch
 
@@ -100,17 +102,9 @@ def ctr_risk(final_scores: ad.Tensor, clicks: np.ndarray) -> ad.Tensor:
     return ad.mul(ad.tmean(term), -1.0)
 
 
-def listwise_label(y: int, rsl: int, alpha: float, beta: float) -> float:
-    """Priority of an impression for the listwise view: clicks dominate at
-    alpha, unclicked items fall back to beta-scaled relevance level."""
-    if y not in (0, 1):
-        raise ValidationError(f"click label {y!r} not binary")
-    if rsl not in (1, 2, 3, 4):
-        raise ValidationError(f"rsl {rsl!r} outside 1..4")
-    return alpha * y + beta * (1 - y) * rsl
-
-
 def listwise_labels(y: np.ndarray, rsl: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """Priority of each impression for the listwise view: clicks dominate at
+    alpha, unclicked items fall back to beta-scaled relevance level."""
     y = np.asarray(y, dtype=np.float64)
     rsl = np.asarray(rsl, dtype=np.float64)
     return alpha * y + beta * (1.0 - y) * rsl
@@ -140,7 +134,7 @@ def grouped_regularizer(
     if keys.shape != final_scores.data.shape:
         raise ValidationError("group keys must align with scores")
     terms = []
-    for key in np.unique(keys):
+    for key in kernels.distinct(keys)[0]:
         rows = np.nonzero(keys == key)[0]
         if rows.size < 2:
             continue
@@ -190,31 +184,6 @@ def total_risk(batch, params: ModelParams, config: TrainConfig, *, stage="stage2
     return loss, report
 
 
-# ---------------------------------------------------------------------------
-# optimizer
-
-
-def sgd_step(
-    params: list[ad.Parameter],
-    rates: dict[str, float],
-    momentum: float = 0.0,
-    velocities: dict[str, np.ndarray] | None = None,
-) -> None:
-    """Plain SGD per learning-rate group; optional heavy-ball momentum."""
-    for p in params:
-        lr = rates.get(p.group)
-        if lr is None:
-            continue
-        if momentum > 0.0:
-            assert velocities is not None
-            v = velocities.setdefault(p.name, np.zeros_like(p.data))
-            v *= momentum
-            v += p.grad
-            p.data -= lr * v
-        else:
-            p.data -= lr * p.grad
-
-
 def _check_finite(loss_val: float, report: RiskReport, rows: np.ndarray) -> None:
     if not np.isfinite(loss_val):
         raise TrainingError(
@@ -235,7 +204,7 @@ def pretrain_rsl(
     untouched (bit-identical, not merely unchanged in expectation)."""
     if params.rsl_layers is None:
         raise ValidationError("variant has no relevance-level module to pretrain")
-    levels = np.unique(cache.rsl)
+    levels = kernels.distinct(cache.rsl)[0]
     if levels.size < 2:
         raise TrainingError("relevance pretraining needs at least 2 distinct levels")
     reports: list[RiskReport] = []

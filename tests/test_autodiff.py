@@ -411,7 +411,7 @@ def test_grad_three_layer_mlp():
         ad.dense_layer(rng, 4, 1, "linear", "l2", "base"),
     ]
     x = ad.Tensor(rng.normal(size=(5, 6)))
-    _fd(lambda: ad.mlp_apply(layers, x).sum(), ad.mlp_params(layers))
+    _fd(lambda: ad.mlp_apply(layers, x).sum(), [p for layer in layers for p in layer.params()])
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +433,7 @@ def test_backward_is_bit_deterministic():
         ad.dense_layer(rng, 4, 6, "relu", "l0", "base"),
         ad.dense_layer(rng, 6, 1, "linear", "l1", "base"),
     ]
-    params = [table] + ad.mlp_params(layers)
+    params = [table] + [p for layer in layers for p in layer.params()]
     ids = rng.integers(0, 8, size=16)
 
     def run():

@@ -132,14 +132,29 @@ def test_gen_data_zero_impressions(tmp_path):
     assert main(["gen-data", "--out-dir", str(tmp_path / "z"), "--n-impressions", "0"]) == 1
 
 
-def test_gen_data_leaves_numpy_ma_unimported(tmp_path):
-    # np.unique can import numpy.ma on its first call, which costs a fresh
-    # process more than the generator's labels; gen-data's path has none
+# every stage whose path once held a plain np.unique
+NUMPY_MA_STAGES = {
+    "gen-data": lambda pipe: ["gen-data", "--n-impressions", "300", "--n-users", "5",
+                              "--n-items", "60", "--n-queries", "20"],
+    "build-index": lambda pipe: ["encoder", "build-index", "--checkpoint", str(pipe["encoder"]),
+                                 "--dataset-file", str(pipe["train"])],
+    "train": lambda pipe: ["train", "--train-file", str(pipe["train"]),
+                           "--index", str(pipe["index"])] + TRAIN_FLAGS,
+    "train-query-group": lambda pipe: ["train", "--train-file", str(pipe["train"]),
+                                       "--index", str(pipe["index"]), "--grouping",
+                                       "query-group"] + TRAIN_FLAGS,
+}
+
+
+@pytest.mark.parametrize("stage", list(NUMPY_MA_STAGES))
+def test_stage_leaves_numpy_ma_unimported(pipe, tmp_path, stage):
+    # a plain np.unique imports numpy.ma on its first call, which costs a
+    # fresh process more than the keys it dedupes; kernels.distinct does not
+    argv = NUMPY_MA_STAGES[stage](pipe) + ["--out-dir", str(tmp_path / "o")]
     script = (
         "import sys\n"
         "from rankfuse.cli import main\n"
-        f"code = main(['gen-data', '--out-dir', {str(tmp_path / 'g')!r}, '--n-impressions', '300',"
-        " '--n-users', '5', '--n-items', '60', '--n-queries', '20'])\n"
+        f"code = main({argv!r})\n"
         "print(code, 'numpy.ma' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -597,6 +612,28 @@ def test_wrong_kind_checkpoint_exits_1(pipe, ranked_model, tmp_path, capsys):
         assert main(argv + ["--out-dir", str(tmp_path / f"o{n}")]) == 1, argv
         err = capsys.readouterr().err
         assert f"{path} is {found} checkpoint; expected {expected} checkpoint" in err, err
+
+
+def test_checkpoint_with_a_misshapen_parameter_exits_1(pipe, ranked_model, tmp_path, capsys):
+    from rankfuse.autodiff import Parameter
+    from rankfuse.checkpoint import load_params, save_params
+
+    query, user_file, cands, _ = write_rank_inputs(tmp_path, pipe)
+    rank = ["rank", "--index", str(pipe["index"]), "--query", query,
+            "--user-file", str(user_file), "--candidates-file", str(cands), "--checkpoint"]
+    finetune = ["encoder", "finetune", "--train-file", str(pipe["train"]), "--checkpoint"]
+    for n, (argv, good) in enumerate(((rank, ranked_model), (finetune, pipe["encoder"]))):
+        params, meta = load_params(good)
+        name = sorted(params)[0]
+        p = params[name]
+        params[name] = Parameter(name, np.zeros(p.data.shape[:-1] + (p.data.shape[-1] + 1,)),
+                                 p.group)
+        bad = tmp_path / f"bad{n}.ckpt"
+        save_params(bad, params, meta)
+        capsys.readouterr()
+        assert main(argv + [str(bad), "--out-dir", str(tmp_path / f"o{n}")]) == 1, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: parameter {name} "), err
 
 
 def test_train_rejects_non_finite_learning_rate(pipe, tmp_path, capsys):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rankfuse import data as dt
 from rankfuse import model as md
-from rankfuse.encoder import EmbeddingIndex, pair_key
+from rankfuse.encoder import EmbeddingIndex, pair_key, tokenize
 from rankfuse.errors import DatasetParseError, ValidationError
 
 
@@ -19,28 +19,32 @@ def small_corpus(**kw):
 # relevance oracle
 
 
+def relevance(query_text, item_text):
+    return dt.ground_truth_relevance(tokenize(query_text), tokenize(item_text))
+
+
 def test_relevance_identical_and_disjoint():
-    assert dt.ground_truth_relevance("cat red shoe", "cat red shoe") == 1.0
-    assert dt.ground_truth_relevance("cat red shoe", "dog blue sock") == 0.0
+    assert relevance("cat red shoe", "cat red shoe") == 1.0
+    assert relevance("cat red shoe", "dog blue sock") == 0.0
     # single-token texts carry only the category signal
-    assert dt.ground_truth_relevance("cat", "cat") == 1.0
-    assert dt.ground_truth_relevance("cat", "dog") == 0.0
+    assert relevance("cat", "cat") == 1.0
+    assert relevance("cat", "dog") == 0.0
 
 
 def test_relevance_half_jaccard_is_three_quarters():
     # same category, descriptor jaccard |{a}|/|{a,b}| = 1/2
-    assert dt.ground_truth_relevance("cat a b", "cat a") == 0.75
+    assert relevance("cat a b", "cat a") == 0.75
 
 
 def test_relevance_empty_text_is_zero():
-    assert dt.ground_truth_relevance("", "cat a") == 0.0
-    assert dt.ground_truth_relevance("cat a", "") == 0.0
-    assert dt.ground_truth_relevance("", "") == 0.0
+    assert relevance("", "cat a") == 0.0
+    assert relevance("cat a", "") == 0.0
+    assert relevance("", "") == 0.0
 
 
 def test_relevance_category_only_mismatch():
     # shared descriptors but different category: jaccard half only
-    assert dt.ground_truth_relevance("cat a b", "dog a b") == 0.5
+    assert relevance("cat a b", "dog a b") == 0.5
 
 
 def test_assign_rsl_boundaries():
@@ -154,7 +158,7 @@ def test_generated_labels_consistent():
     samples, _ = small_corpus()
     cfg = dt.GeneratorConfig()
     for s in samples:
-        r = dt.ground_truth_relevance(s.query_text, s.item_text)
+        r = relevance(s.query_text, s.item_text)
         assert s.rsl == dt.assign_rsl(r, cfg.rsl_thresholds)
         assert (s.category_match, s.contains_query) == dt.derive_flags(s.query_text, s.item_text)
         assert s.truth is not None and s.truth.relevance == r
@@ -575,34 +579,28 @@ def test_pair_key_separator_is_forbidden(tmp_path):
 
 def test_sidecar_roundtrip_exact(tmp_path):
     samples, _ = small_corpus(n_impressions=50)
-    path = tmp_path / "truth.tsv"
+    path = tmp_path / "ground_truth.tsv"
     dt.write_sidecar(samples, str(path))
-    truths = dt.read_sidecar(str(path))
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    assert header.split("\t") == list(dt.SIDECAR_COLUMNS)
+    truths = [dt.GroundTruth(*map(float, row.split("\t"))) for row in rows]
     assert truths == [s.truth for s in samples]
-
-    stripped = [dt.Sample(**{**s.__dict__, "truth": None}) for s in samples]
-    dt.attach_sidecar(stripped, truths)
-    assert [s.truth for s in stripped] == truths
-    with pytest.raises(ValidationError):
-        dt.attach_sidecar(stripped[:-1], truths)
 
 
 def test_text_readers_refuse_non_utf8_naming_the_file(tmp_path):
     samples, _ = small_corpus(n_impressions=5)
-    for name, write, read in (("data.tsv", dt.write_dataset, dt.read_dataset),
-                              ("truth.tsv", dt.write_sidecar, dt.read_sidecar)):
-        path = tmp_path / name
-        write(samples, str(path))
-        with open(path, "ab") as fh:
-            fh.write(b"\xff\xfe\n")
-        with pytest.raises(DatasetParseError) as err:
-            read(str(path))
-        assert str(path) in str(err.value) and "UTF-8" in str(err.value)
+    path = tmp_path / "data.tsv"
+    dt.write_dataset(samples, str(path))
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\xfe\n")
+    with pytest.raises(DatasetParseError) as err:
+        dt.read_dataset(str(path))
+    assert str(path) in str(err.value) and "UTF-8" in str(err.value)
 
-        path.write_text("wrong header\n")
-        with pytest.raises(DatasetParseError) as err:
-            read(str(path))
-        assert str(err.value).startswith(f"{path}: line 1: ")
+    path.write_text("wrong header\n")
+    with pytest.raises(DatasetParseError) as err:
+        dt.read_dataset(str(path))
+    assert str(err.value).startswith(f"{path}: line 1: ")
 
 
 def test_sidecar_requires_truth(tmp_path):

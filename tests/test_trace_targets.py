@@ -88,15 +88,17 @@ for argv in json.loads(sys.argv[3]):
     with tracer.request(None):
         rc = main(argv)
     spans = [s[tracing.NAME] for s in tracer.spans[first:]]
+    parents = [s[tracing.PARENT] - first for s in tracer.spans[first:]]
     counts = {name: n for (req, name), n in tracer.counts.items() if req == first}
-    out.append({"rc": rc, "absent": absent, "spans": spans, "counts": counts})
+    out.append({"rc": rc, "absent": absent, "spans": spans, "parents": parents, "counts": counts})
 print(json.dumps(out))
 """
 
 
 def traced_calls(argvs):
     """Run each CLI argv in one instrumented child process; per call its
-    exit code, the absent targets, span names and lookup counts."""
+    exit code, the absent targets, span names, each span's parent (an index
+    into the names) and lookup counts."""
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, str(ROOT / "src"), str(TRACING), json.dumps(argvs)],
         capture_output=True, text=True, timeout=300,
@@ -161,3 +163,41 @@ def test_stages_read_each_split_once(tiny, tmp_path):
         assert out["spans"].count("data.read_dataset") == reads, name
     train_spans = traced[list(stages).index("train")]["spans"]
     assert train_spans.count("model.TrainingCache.__init__") == 1
+
+
+def direct_children(out, parent, child):
+    """Per span named `parent`, the number of its direct children named `child`."""
+    names, parents = out["spans"], out["parents"]
+    return [sum(1 for k, name in enumerate(names) if name == child and parents[k] == i)
+            for i, name in enumerate(names) if name == parent]
+
+
+def test_each_step_is_one_direct_child_span(tiny, tmp_path):
+    # encoder.*_step_ms time the steps between the direct encode_bags children
+    # of each encoder stage; training.sgd_ms reads the direct sgd_step children
+    # of train_stage2 only, so the encoder's and stage 1's steps stay out of it
+    train = str(tiny["root"] / "data" / "train.tsv")
+    batches = -(-len(dt.read_dataset(train)) // 64)
+    out_dirs = [tmp_path / name for name in ("pre", "fine", "train")]
+    argvs = [
+        ["encoder", "pretrain", "--train-file", train, "--d", "8", "--d-raw", "16",
+         "--encoder-epochs", "2", "--encoder-batch-size", "64"],
+        ["encoder", "finetune", "--checkpoint", str(tiny["encoder"]), "--train-file", train,
+         "--finetune-epochs", "2", "--encoder-batch-size", "64"],
+        ["train", "--train-file", train, "--index", str(tiny["index"]), "--d", "8",
+         "--batch-size", "64", "--stage1-epochs", "1", "--stage2-epochs", "2"],
+    ]
+    pre, fine, train_out = traced_calls(
+        [argv + ["--out-dir", str(out)] for argv, out in zip(argvs, out_dirs)])
+    for out, stage in ((pre, "encoder.pretrain_encoder"), (fine, "encoder.finetune_encoder")):
+        assert out["rc"] == 0 and out["absent"] == [], stage
+        assert direct_children(out, stage, "encoder.encode_bags") == [2 * batches], stage
+        assert direct_children(out, stage, "training.sgd_step") == [2 * batches], stage
+    assert train_out["rc"] == 0 and train_out["absent"] == []
+    log = (out_dirs[2] / "training.log").read_text(encoding="utf-8").splitlines()
+    steps = {stage: sum(1 for line in log if line.split("\t")[1] == stage)
+             for stage in ("stage1", "stage2")}
+    assert steps["stage2"] > 0 and steps["stage1"] == batches
+    assert direct_children(train_out, "training.train_stage2", "training.sgd_step") == [steps["stage2"]]
+    assert direct_children(train_out, "training.pretrain_rsl", "training.sgd_step") == [steps["stage1"]]
+    assert train_out["spans"].count("training.sgd_step") == steps["stage1"] + steps["stage2"]

@@ -132,30 +132,20 @@ def test_ctr_risk_gradient_direction():
 
 
 def test_listwise_label_values():
-    # clicked impressions score alpha regardless of level
-    assert tr.listwise_label(1, 1, 4.0, 1.0) == 4.0
-    assert tr.listwise_label(1, 4, 4.0, 1.0) == 4.0
-    # unclicked fall back to beta-weighted level
-    assert tr.listwise_label(0, 3, 4.0, 1.0) == 3.0
-    assert tr.listwise_label(0, 2, 4.0, 0.5) == 1.0
-
-
-def test_listwise_label_validation():
-    with pytest.raises(ValidationError):
-        tr.listwise_label(2, 3, 4.0, 1.0)
-    with pytest.raises(ValidationError):
-        tr.listwise_label(0, 0, 4.0, 1.0)
-    with pytest.raises(ValidationError):
-        tr.listwise_label(0, 5, 4.0, 1.0)
+    # clicked impressions score alpha regardless of level; unclicked fall
+    # back to the beta-weighted level
+    y, rsl = np.array([1, 1, 0, 0]), np.array([1, 4, 3, 2])
+    assert tr.listwise_labels(y, rsl, 4.0, 1.0).tolist() == [4.0, 4.0, 3.0, 2.0]
+    assert tr.listwise_labels(y, rsl, 4.0, 0.5).tolist() == [4.0, 4.0, 1.5, 1.0]
 
 
 def test_listwise_labels_vectorized_matches_scalar():
     rng = np.random.default_rng(4)
     y = rng.integers(0, 2, size=40)
     rsl = rng.integers(1, 5, size=40)
-    vec = tr.listwise_labels(y, rsl, 4.0, 1.0)
+    vec = tr.listwise_labels(y, rsl, 4.0, 0.5)
     for i in range(40):
-        assert vec[i] == tr.listwise_label(int(y[i]), int(rsl[i]), 4.0, 1.0)
+        assert vec[i] == (4.0 if y[i] == 1 else 0.5 * int(rsl[i]))
 
 
 def test_regularizer_hand_value():
