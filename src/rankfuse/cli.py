@@ -1,11 +1,14 @@
 """Command-line pipeline: gen-data, encoder, train, eval, sweep, rank.
 
-Every command takes --out-dir, echoes its effective configuration there as
-`config.resolved`, and writes exactly one `manifest.json` recording the
-command, the resolved config, input/output file digests, and wall-clock
-duration; train, eval and rank also record `index_cache_misses`, the
-lookups the index had to encode on the fly. Exit codes: 0 success,
-1 validation or missing-input error, 2 runtime error.
+Every command takes --out-dir and, on success, writes `config.resolved`
+(its effective configuration) and then one `manifest.json` there. The
+manifest holds `command`, `config`, the sha256 of each file in `inputs` and
+`outputs` (every file the run read or wrote, `config.resolved` included),
+`duration_seconds`, `peak_rss_mb` (the process's peak resident memory) and
+`numpy_version`; train, eval and rank also record `index_cache_misses`, the
+lookups the index had to encode on the fly. A run that fails writes neither
+file. Exit codes: 0 success, 1 validation or missing-input error, 2 runtime
+error.
 """
 
 from __future__ import annotations
@@ -14,9 +17,12 @@ import argparse
 import hashlib
 import json
 import math
+import resource
 import sys
 from pathlib import Path
 from time import perf_counter
+
+import numpy as np
 
 from . import config as cf
 from . import data as dt
@@ -33,12 +39,7 @@ from .encoder import (
     save_encoder,
     save_index,
 )
-from .errors import (
-    DatasetParseError,
-    DependencyError,
-    DimensionError,
-    ValidationError,
-)
+from .errors import DatasetParseError, DependencyError, DimensionError, ValidationError
 
 ALPHA_SWEEP = (1.0, 2.0, 4.0, 6.0, 8.0)
 GAMMA_SWEEP = (0.0, 0.1, 0.3, 0.5, 1.0)
@@ -56,46 +57,63 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _require(path, what: str) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise DependencyError(f"{what} not found: {p}")
-    return p
+class Stage:
+    """One command's run: its resolved config, its out-dir, and the inputs
+    and outputs that `finish` records in `config.resolved` and
+    `manifest.json`. The config comes from the override flags that the
+    command's parser declared (`_add_common`)."""
 
+    def __init__(self, args, command: str):
+        self.started = perf_counter()
+        self.command = command
+        self.cfg = cf.resolve_config(args.config, {k: getattr(args, k) for k in args.config_keys})
+        out = Path(args.out_dir)
+        if out.exists():
+            if not out.is_dir():
+                raise ValidationError(f"--out-dir exists and is not a directory: {out}")
+            if any(out.iterdir()) and not args.force:
+                raise ValidationError(f"--out-dir is not empty (use --force to overwrite): {out}")
+        out.mkdir(parents=True, exist_ok=True)
+        self.out = out
+        self.inputs = [Path(args.config)] if args.config else []
+        self.outputs: list[Path] = []
 
-def _prepare_out_dir(out_dir, force: bool) -> Path:
-    out = Path(out_dir)
-    if out.exists():
-        if not out.is_dir():
-            raise ValidationError(f"--out-dir exists and is not a directory: {out}")
-        if any(out.iterdir()) and not force:
-            raise ValidationError(f"--out-dir is not empty (use --force to overwrite): {out}")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    def input(self, path, what: str) -> Path:
+        """Check that an input file exists and record it."""
+        p = Path(path)
+        if not p.is_file():
+            raise DependencyError(f"{what} not found: {p}")
+        self.inputs.append(p)
+        return p
 
+    def output(self, name: str) -> Path:
+        """Record an output file of the out-dir; the caller writes it."""
+        path = self.out / name
+        self.outputs.append(path)
+        return path
 
-def _write_manifest(out, command, cfg, inputs, outputs, started, extra=None):
-    manifest = {
-        "command": command,
-        "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in cfg.items()},
-        "inputs": {str(p): _sha256(Path(p)) for p in inputs},
-        "outputs": {str(p): _sha256(Path(p)) for p in outputs},
-        "duration_seconds": round(perf_counter() - started, 3),
-    }
-    if extra:
-        manifest.update(extra)
-    path = Path(out) / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+    def lines(self, name: str, lines) -> Path:
+        """Write lines as an output file, each ended by a newline."""
+        path = self.output(name)
+        path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+        return path
 
-
-def _overrides(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
-
-
-def _write_lines(path: Path, lines) -> Path:
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-    return path
+    def finish(self, **extra) -> int:
+        """Write `config.resolved`, then `manifest.json`; return exit code 0."""
+        self.outputs.append(cf.write_resolved(self.cfg, self.out))
+        manifest = {
+            "command": self.command,
+            "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in self.cfg.items()},
+            "inputs": {str(p): _sha256(p) for p in self.inputs},
+            "outputs": {str(p): _sha256(p) for p in self.outputs},
+            "duration_seconds": round(perf_counter() - self.started, 3),
+            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+            "numpy_version": np.__version__,
+            **extra,
+        }
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        (self.out / "manifest.json").write_text(text, encoding="utf-8")
+        return 0
 
 
 # ---------------------------------------------------------------------------
@@ -106,115 +124,63 @@ GEN_KEYS = ("seed", "n_users", "n_items", "n_queries", "n_impressions", "n_categ
 
 
 def cmd_gen_data(args) -> int:
-    started = perf_counter()
-    cfg = cf.resolve_config(args.config, _overrides(args, GEN_KEYS))
-    out = _prepare_out_dir(args.out_dir, args.force)
-    samples, stats = dt.generate_corpus(cf.to_generator_config(cfg))
+    run = Stage(args, "gen-data")
+    samples, stats = dt.generate_corpus(cf.to_generator_config(run.cfg))
     train, validation, test = dt.split_corpus(samples)
-
-    outputs = []
-    for name, subset in (
-        ("train.tsv", train),
-        ("validation.tsv", validation),
-        ("test.tsv", test),
-    ):
-        path = out / name
-        dt.write_dataset(subset, path)
-        outputs.append(path)
-    sidecar = out / "ground_truth.tsv"
-    dt.write_sidecar(samples, sidecar)
-    outputs.append(sidecar)
-    outputs.append(cf.write_resolved(cfg, out))
-
-    inputs = [args.config] if args.config else []
-    _write_manifest(out, "gen-data", cfg, inputs, outputs, started, extra={"stats": stats})
+    for name, subset in (("train.tsv", train), ("validation.tsv", validation), ("test.tsv", test)):
+        dt.write_dataset(subset, run.output(name))
+    dt.write_sidecar(samples, run.output("ground_truth.tsv"))
     print(
         f"gen-data: {len(samples)} impressions "
-        f"(train {len(train)}, validation {len(validation)}, test {len(test)}) -> {out}"
+        f"(train {len(train)}, validation {len(validation)}, test {len(test)}) -> {run.out}"
     )
-    return 0
-
-
-ENCODER_KEYS = (
-    "seed",
-    "vocab_size",
-    "d_raw",
-    "d",
-    "encoder_lr",
-    "encoder_batch_size",
-    "encoder_epochs",
-    "finetune_lr_factor",
-    "finetune_epochs",
-)
+    return run.finish(stats=stats)
 
 
 def cmd_encoder(args) -> int:
-    started = perf_counter()
-    cfg = cf.resolve_config(args.config, _overrides(args, ENCODER_KEYS))
-    out = _prepare_out_dir(args.out_dir, args.force)
-    inputs = [args.config] if args.config else []
+    run = Stage(args, f"encoder-{args.encoder_command}")
 
     if args.encoder_command == "build-index":
-        ckpt_in = _require(args.checkpoint, "encoder checkpoint")
+        ckpt_in = run.input(args.checkpoint, "encoder checkpoint")
         if not args.dataset_file:
             raise ValidationError("build-index needs at least one --dataset-file")
-        inputs.append(ckpt_in)
         params = load_encoder(ckpt_in)
         # every text of the text table (history items too) and every pair of the
         # rows and the entry table
         texts: set[str] = set()
         pairs: set[tuple[str, str]] = set()
         for dataset_path in args.dataset_file:
-            dataset_path = _require(dataset_path, "dataset file")
-            inputs.append(dataset_path)
-            dataset = dt.read_dataset(dataset_path)
+            dataset = dt.read_dataset(run.input(dataset_path, "dataset file"))
             texts.update(dataset.texts)
             pairs.update(dataset.pairs())
         index = build_index(params, sorted(texts), sorted(pairs), encoder_digest(params))
-        index_path = out / "index.tsv"
+        index_path = run.output("index.tsv")
         save_index(index, index_path)
-        outputs = [index_path, cf.write_resolved(cfg, out)]
-        _write_manifest(out, "encoder-build-index", cfg, inputs, outputs, started)
         print(f"build-index: {len(index.text)} texts, {len(index.pair)} pairs -> {index_path}")
-        return 0
+        return run.finish()
 
     if args.encoder_command == "pretrain":
-        train_file = _require(args.train_file, "train split")
-        inputs.append(train_file)
+        train_file = run.input(args.train_file, "train split")
         labeled = dt.read_dataset(train_file).labeled_pairs("click")
-        params, trace = pretrain_encoder(labeled, cf.to_encoder_config(cfg))
+        params, trace = pretrain_encoder(labeled, cf.to_encoder_config(run.cfg))
     else:
-        ckpt_in = _require(args.checkpoint, "encoder checkpoint")
-        train_file = _require(args.train_file, "train split")
-        inputs.extend([ckpt_in, train_file])
+        ckpt_in = run.input(args.checkpoint, "encoder checkpoint")
+        train_file = run.input(args.train_file, "train split")
         params = load_encoder(ckpt_in)
         # architecture comes from the checkpoint; rates come from the config
         arch = {k: getattr(params.config, k) for k in ("vocab_size", "d_raw", "d")}
         labeled = dt.read_dataset(train_file).labeled_pairs("rsl")
-        params, trace = finetune_encoder(params, labeled, cf.to_encoder_config({**cfg, **arch}))
-    ckpt = out / "encoder.ckpt"
+        params, trace = finetune_encoder(params, labeled, cf.to_encoder_config({**run.cfg, **arch}))
+    ckpt = run.output("encoder.ckpt")
     save_encoder(params, ckpt)
-    log = _write_lines(out / "encoder.log", [f"{e}\t{loss:.10f}" for e, loss in enumerate(trace)])
-    outputs = [ckpt, log, cf.write_resolved(cfg, out)]
-    _write_manifest(out, f"encoder-{args.encoder_command}", cfg, inputs, outputs, started)
+    run.lines("encoder.log", [f"{e}\t{loss:.10f}" for e, loss in enumerate(trace)])
     print(f"encoder {args.encoder_command}: {len(labeled)} pairs, {len(trace)} epochs -> {ckpt}")
-    return 0
+    return run.finish()
 
 
 TRAIN_KEYS = (
-    "seed",
-    "d",
-    "alpha",
-    "beta",
-    "gamma",
-    "batch_size",
-    "stage1_epochs",
-    "stage2_epochs",
-    "lr_stage1",
-    "lr_base",
-    "lr_rsl_finetune",
-    "lr_prim",
-    "grouping",
+    "seed", "d", "alpha", "beta", "gamma", "batch_size", "stage1_epochs", "stage2_epochs",
+    "lr_stage1", "lr_base", "lr_rsl_finetune", "lr_prim", "grouping",
 )
 
 
@@ -240,84 +206,68 @@ def _train_variant(args) -> tuple[str, bool]:
 
 
 def cmd_train(args) -> int:
-    started = perf_counter()
     variant, force_gamma_zero = _train_variant(args)
-    cfg = cf.resolve_config(args.config, _overrides(args, TRAIN_KEYS))
-    out = _prepare_out_dir(args.out_dir, args.force)
-    train_file = _require(args.train_file, "train split")
-    index_file = _require(args.index, "embedding index")
+    run = Stage(args, "train")
+    train_file = run.input(args.train_file, "train split")
+    index_file = run.input(args.index, "embedding index")
 
     samples = dt.read_dataset(train_file)
     index = load_index(index_file)
-    mcfg = cf.to_model_config(cfg, variant)
+    mcfg = cf.to_model_config(run.cfg, variant)
     cache = md.TrainingCache(samples, index, mcfg)
     params = md.build_model(mcfg)
     tcfg = cf.to_train_config(
-        cfg, gamma=0.0 if force_gamma_zero else None, no_two_stage=args.no_two_stage
+        run.cfg, gamma=0.0 if force_gamma_zero else None, no_two_stage=args.no_two_stage
     )
     params, reports = tr.train_two_stage(cache, params, tcfg)
 
-    ckpt = out / "model.ckpt"
+    ckpt = run.output("model.ckpt")
     md.save_model(params, ckpt, extra_meta={"train_variant": variant})
-    log = _write_lines(out / "training.log", [r.to_line() for r in reports])
-    outputs = [ckpt, log, cf.write_resolved(cfg, out)]
-    inputs = ([args.config] if args.config else []) + [train_file, index_file]
-    _write_manifest(
-        out, "train", cfg, inputs, outputs, started,
-        extra={"variant": variant, "index_cache_misses": index.cache_misses},
-    )
+    run.lines("training.log", [r.to_line() for r in reports])
     last = reports[-1].total if reports else float("nan")
     print(f"train [{variant}]: {len(samples)} impressions, final batch loss {last:.6f} -> {ckpt}")
-    return 0
+    return run.finish(variant=variant, index_cache_misses=index.cache_misses)
 
 
-def _parse_checkpoint_specs(specs) -> list[tuple[str, str]]:
+def _parse_checkpoint_specs(run: Stage, specs) -> list[tuple[str, str]]:
+    """(name, path) per NAME=PATH spec, names distinct and writable into
+    metrics.txt; each path is recorded as an input of the run."""
     if not specs:
         raise ValidationError("eval needs at least one --checkpoint NAME=PATH")
-    out = []
+    out: dict[str, str] = {}
     for spec in specs:
-        if "=" not in spec:
-            raise ValidationError(f"--checkpoint expects NAME=PATH, got {spec!r}")
-        name, path = spec.split("=", 1)
+        name, _, path = spec.partition("=")
         if not name or not path:
             raise ValidationError(f"--checkpoint expects NAME=PATH, got {spec!r}")
-        out.append((name, str(_require(path, f"checkpoint {name}"))))
-    return out
+        dt.check_text(name, "checkpoint name")
+        if name in out:
+            raise ValidationError(f"--checkpoint name {name!r} is given twice")
+        out[name] = str(run.input(path, f"checkpoint {name}"))
+    return list(out.items())
 
 
 def cmd_eval(args) -> int:
-    started = perf_counter()
-    cfg = cf.resolve_config(args.config, _overrides(args, ("seed", "batch_size")))
-    out = _prepare_out_dir(args.out_dir, args.force)
-    variants = _parse_checkpoint_specs(args.checkpoint)
-    test_file = _require(args.test_file, "test split")
-    index_file = _require(args.index, "embedding index")
+    run = Stage(args, "eval")
+    variants = _parse_checkpoint_specs(run, args.checkpoint)
+    test_file = run.input(args.test_file, "test split")
+    index_file = run.input(args.index, "embedding index")
 
     samples = dt.read_dataset(test_file)
     index = load_index(index_file)
-    rows = ev.run_comparison(variants, samples, index, batch_size=cfg["batch_size"])
+    rows = ev.run_comparison(variants, samples, index, batch_size=run.cfg["batch_size"])
     table = ev.format_comparison(rows)
     print(table)
 
-    table_path = _write_lines(out / "comparison.tsv", table.splitlines())
-    metrics_path = _write_lines(out / "metrics.txt", ev.metric_lines(rows))
-    outputs = [table_path, metrics_path, cf.write_resolved(cfg, out)]
-    inputs = ([args.config] if args.config else []) + [test_file, index_file]
-    inputs += [path for _, path in variants]
-    _write_manifest(
-        out, "eval", cfg, inputs, outputs, started,
-        extra={"index_cache_misses": index.cache_misses},
-    )
-    return 0
+    run.lines("comparison.tsv", table.splitlines())
+    run.lines("metrics.txt", ev.metric_lines(rows))
+    return run.finish(index_cache_misses=index.cache_misses)
 
 
 def cmd_sweep(args) -> int:
-    started = perf_counter()
-    cfg = cf.resolve_config(args.config, _overrides(args, TRAIN_KEYS))
-    out = _prepare_out_dir(args.out_dir, args.force)
-    train_file = _require(args.train_file, "train split")
-    test_file = _require(args.test_file, "test split")
-    index_file = _require(args.index, "embedding index")
+    run = Stage(args, "sweep")
+    train_file = run.input(args.train_file, "train split")
+    test_file = run.input(args.test_file, "test split")
+    index_file = run.input(args.index, "embedding index")
 
     if args.values:
         try:
@@ -334,20 +284,19 @@ def cmd_sweep(args) -> int:
     train_samples = dt.read_dataset(train_file)
     test_samples = dt.read_dataset(test_file)
     index = load_index(index_file)
-    mcfg = cf.to_model_config(cfg, "full")
+    mcfg = cf.to_model_config(run.cfg, "full")
     cache = md.TrainingCache(train_samples, index, mcfg)
     test_cache = md.TrainingCache(test_samples, index, mcfg)  # scored once per value
 
     series = ["value\tauc\tgauc\trelevance_score"]
-    outputs = []
     for i, value in enumerate(values):
-        run_cfg = dict(cfg)
+        run_cfg = dict(run.cfg)
         run_cfg["beta"] = 1.0  # held constant across sweeps
         run_cfg[args.param] = value
         tcfg = cf.to_train_config(run_cfg)
         params = md.build_model(mcfg)
         params, _ = tr.train_two_stage(cache, params, tcfg)
-        scores = md.score_cache(params, test_cache, batch_size=cfg["batch_size"])
+        scores = md.score_cache(params, test_cache, batch_size=run.cfg["batch_size"])
         report = ev.evaluate_scores(ev.samples_to_impressions(test_samples, scores), index)
         row = {
             "variant": f"run{i}",
@@ -356,8 +305,7 @@ def cmd_sweep(args) -> int:
             "gauc": report.gauc,
             "relevance_score": report.relevance_score,
         }
-        point_path = _write_lines(out / f"metrics-{i}.txt", ev.metric_lines([row]))
-        outputs.append(point_path)
+        point_path = run.lines(f"metrics-{i}.txt", ev.metric_lines([row]))
         # read back through the machine-readable format; .17g round-trips floats
         parsed = ev.read_metrics_file(point_path)
         series.append(
@@ -367,15 +315,8 @@ def cmd_sweep(args) -> int:
         )
         print(f"sweep {args.param}={value}: auc {report.auc:.6f} gauc {report.gauc:.6f}")
 
-    series_path = _write_lines(out / f"sweep-{args.param}.tsv", series)
-    outputs.append(series_path)
-    outputs.append(cf.write_resolved(cfg, out))
-    inputs = ([args.config] if args.config else []) + [train_file, test_file, index_file]
-    _write_manifest(
-        out, "sweep", cfg, inputs, outputs, started,
-        extra={"param": args.param, "values": list(values)},
-    )
-    return 0
+    run.lines(f"sweep-{args.param}.tsv", series)
+    return run.finish(param=args.param, values=list(values))
 
 
 def _read_user_context(path) -> tuple[int, list[tuple[str, str]]]:
@@ -413,13 +354,11 @@ def _read_candidates(path) -> list[tuple[int, str]]:
 
 
 def cmd_rank(args) -> int:
-    started = perf_counter()
-    cfg = cf.resolve_config(args.config, _overrides(args, ("seed",)))
-    out = _prepare_out_dir(args.out_dir, args.force)
-    ckpt_file = _require(args.checkpoint, "model checkpoint")
-    index_file = _require(args.index, "embedding index")
-    user_file = _require(args.user_file, "user context file")
-    cand_file = _require(args.candidates_file, "candidates file")
+    run = Stage(args, "rank")
+    ckpt_file = run.input(args.checkpoint, "model checkpoint")
+    index_file = run.input(args.index, "embedding index")
+    user_file = run.input(args.user_file, "user context file")
+    cand_file = run.input(args.candidates_file, "candidates file")
 
     user_id, history = _read_user_context(user_file)
     candidates = _read_candidates(cand_file)
@@ -433,7 +372,7 @@ def cmd_rank(args) -> int:
     params, _ = md.load_model(ckpt_file)
     index = load_index(index_file)
     if args.encoder:
-        index.attach_encoder(load_encoder(_require(args.encoder, "encoder checkpoint")))
+        index.attach_encoder(load_encoder(run.input(args.encoder, "encoder checkpoint")))
 
     samples = [
         md.sample_for_scoring(user_id, args.query, item_id, item_text, history)
@@ -448,33 +387,27 @@ def cmd_rank(args) -> int:
     rank_lines = [f"{item_id}\t{item_text}\t{bd.final:.17g}" for item_id, item_text, bd in scored]
     for line in rank_lines:
         print(line)
-    outputs = [_write_lines(out / "ranking.tsv", rank_lines)]
+    run.lines("ranking.tsv", rank_lines)
     if args.explain:
-        outputs.append(_write_lines(out / "explain.tsv", [bd.to_line() for _, _, bd in scored]))
-    outputs.append(cf.write_resolved(cfg, out))
-    inputs = ([args.config] if args.config else []) + [ckpt_file, index_file, user_file, cand_file]
-    if args.encoder:
-        inputs.append(args.encoder)
-    _write_manifest(
-        out, "rank", cfg, inputs, outputs, started,
-        extra={"index_cache_misses": index.cache_misses},
-    )
-    return 0
+        run.lines("explain.tsv", [bd.to_line() for _, _, bd in scored])
+    return run.finish(index_cache_misses=index.cache_misses)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
 
-def _add_common(p):
+def _add_common(p, keys=()):
+    """The flags every command takes, plus one override flag per config key,
+    typed as the key's default; the keys are what `Stage` resolves."""
     p.add_argument("--out-dir", required=True, help="output directory (one per command run)")
     p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--force", action="store_true", help="allow writing into a non-empty out-dir")
-
-
-def _add_override(p, key, kind=float, **kw):
-    flag = "--" + key.replace("_", "-")
-    p.add_argument(flag, dest=key, type=kind, default=None, **kw)
+    for key in keys:
+        extra = {"choices": tr.GROUPINGS} if key == "grouping" else {}
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(cf.DEFAULTS[key]),
+                       default=None, **extra)
+    p.set_defaults(config_keys=keys)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -482,31 +415,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate the synthetic corpus and splits")
-    _add_common(p)
-    for key in GEN_KEYS:
-        _add_override(p, key, int)
+    _add_common(p, GEN_KEYS)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("encoder", help="encoder pretrain / finetune / build-index")
     enc = p.add_subparsers(dest="encoder_command", required=True)
 
     pp = enc.add_parser("pretrain", help="pretrain the text encoder on click pairs")
-    _add_common(pp)
+    _add_common(pp, ("seed", "vocab_size", "d_raw", "d", "encoder_batch_size", "encoder_epochs",
+                     "encoder_lr"))
     pp.add_argument("--train-file", required=True)
-    for key in ("seed", "vocab_size", "d_raw", "d", "encoder_batch_size", "encoder_epochs"):
-        _add_override(pp, key, int)
-    for key in ("encoder_lr",):
-        _add_override(pp, key, float)
     pp.set_defaults(func=cmd_encoder)
 
     pf = enc.add_parser("finetune", help="finetune a pretrained encoder on relevance levels")
-    _add_common(pf)
+    _add_common(pf, ("seed", "encoder_batch_size", "finetune_epochs", "encoder_lr",
+                     "finetune_lr_factor"))
     pf.add_argument("--checkpoint", required=True, help="pretrained encoder checkpoint")
     pf.add_argument("--train-file", required=True)
-    for key in ("seed", "encoder_batch_size", "finetune_epochs"):
-        _add_override(pf, key, int)
-    for key in ("encoder_lr", "finetune_lr_factor"):
-        _add_override(pf, key, float)
     pf.set_defaults(func=cmd_encoder)
 
     pb = enc.add_parser("build-index", help="precompute embeddings for dataset splits")
@@ -518,42 +443,31 @@ def build_parser() -> argparse.ArgumentParser:
     pb.set_defaults(func=cmd_encoder)
 
     p = sub.add_parser("train", help="two-stage training with ablation flags")
-    _add_common(p)
+    _add_common(p, TRAIN_KEYS)
     p.add_argument("--train-file", required=True)
     p.add_argument("--index", required=True)
     p.add_argument("--no-two-stage", action="store_true", help="skip the warm-up stage")
     p.add_argument("--no-regularizer", action="store_true", help="drop the listwise term")
     p.add_argument("--no-prim", action="store_true", help="freeze the incentive path at 1")
     p.add_argument("--base-only", action="store_true", help="single-head CTR model, no fusion")
-    for key in ("seed", "d", "batch_size", "stage1_epochs", "stage2_epochs"):
-        _add_override(p, key, int)
-    for key in ("alpha", "beta", "gamma", "lr_stage1", "lr_base", "lr_rsl_finetune", "lr_prim"):
-        _add_override(p, key, float)
-    _add_override(p, "grouping", str, choices=tr.GROUPINGS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="compare checkpoints on a split")
-    _add_common(p)
+    _add_common(p, ("batch_size",))
     p.add_argument(
         "--checkpoint", action="append", default=[], help="NAME=PATH (repeatable; first is base)"
     )
     p.add_argument("--test-file", required=True)
     p.add_argument("--index", required=True)
-    _add_override(p, "batch_size", int)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="train and evaluate across hyperparameter values")
-    _add_common(p)
+    _add_common(p, TRAIN_KEYS)
     p.add_argument("--param", required=True, choices=("alpha", "gamma"))
     p.add_argument("--values", default=None, help="comma-separated values (default per param)")
     p.add_argument("--train-file", required=True)
     p.add_argument("--test-file", required=True)
     p.add_argument("--index", required=True)
-    for key in ("seed", "d", "batch_size", "stage1_epochs", "stage2_epochs"):
-        _add_override(p, key, int)
-    for key in ("alpha", "beta", "gamma", "lr_stage1", "lr_base", "lr_rsl_finetune", "lr_prim"):
-        _add_override(p, key, float)
-    _add_override(p, "grouping", str, choices=tr.GROUPINGS)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("rank", help="score and rank candidates for one query")

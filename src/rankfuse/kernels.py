@@ -68,8 +68,9 @@ def distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(the distinct keys, sorted; per key, its index among them), as
     np.unique(keys, return_inverse=True) gives them, by one sort. A plain
     np.unique imports numpy.ma on its first call, which costs a fresh CLI
-    process more than the keys do."""
-    order = np.argsort(keys, kind="stable")
+    process more than the keys do. Equal keys get equal numbers, so the
+    sort need not be stable."""
+    order = np.argsort(keys)
     ordered = keys[order]
     new = np.ones(ordered.size, dtype=bool)
     new[1:] = ordered[1:] != ordered[:-1]

@@ -282,8 +282,8 @@ def _distinct_histories(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     numbered by first use, with equal histories merged; and per number, the
     dataset's id of that history."""
     # entries with the same two texts are equal, so they get one key
-    _, entry_key = np.unique(ds.entry_query * len(ds.texts) + ds.entry_item, return_inverse=True)
-    blob = entry_key[ds.hist_entries].astype(np.int64).tobytes()
+    _, entry_key = kernels.distinct(ds.entry_query * len(ds.texts) + ds.entry_item)
+    blob = entry_key[ds.hist_entries].tobytes()
     bounds = (ds.hist_off * 8).tolist()
     held, first_row = np.unique(ds.history_id, return_index=True)
     number = np.zeros(len(bounds) - 1, dtype=np.int64)
@@ -294,17 +294,6 @@ def _distinct_histories(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
         if k == len(used):
             used.append(h)
     return number[ds.history_id], np.array(used, dtype=np.int64)
-
-
-def _group_ids(user_id: np.ndarray, query_rank: np.ndarray) -> np.ndarray:
-    """Per row, the number of its (user, query) pair in sorted order."""
-    order = np.lexsort((query_rank, user_id))
-    u, q = user_id[order], query_rank[order]
-    new = np.ones(order.size, dtype=np.int64)
-    new[1:] = (u[1:] != u[:-1]) | (q[1:] != q[:-1])
-    groups = np.empty(order.size, dtype=np.int64)
-    groups[order] = np.cumsum(new) - 1
-    return groups
 
 
 class TrainingCache:
@@ -345,10 +334,10 @@ class TrainingCache:
         text_ids = order[looked_up[order]]
         text_row = np.full(n_texts, -1, dtype=np.int64)
         text_row[text_ids] = np.arange(text_ids.size)
-        pair_keys, pair_row = np.unique(np.concatenate([
+        pair_keys, pair_row = kernels.distinct(np.concatenate([
             rank[ds.query_text_id] * n_texts + rank[ds.item_text_id],
             rank[entry_q] * n_texts + rank[entry_i],
-        ]), return_inverse=True)
+        ]))
         text_list = [texts[t] for t in text_ids.tolist()]
         pair_list = [(texts[q], texts[i]) for q, i in zip(order[pair_keys // n_texts].tolist(),
                                                            order[pair_keys % n_texts].tolist())]
@@ -378,8 +367,11 @@ class TrainingCache:
         self.flags = np.stack([ds.category_match, ds.contains_query], axis=1).astype(np.float64)
         self.y = ds.click.astype(np.float64)
         self.rsl = ds.rsl.copy()
-        # listwise grouping: impressions sharing (user, query) form one list
-        self.group_keys = _group_ids(ds.user_id, rank[ds.query_text_id])
+        # listwise grouping: impressions sharing (user, query) form one list,
+        # numbered in (user, query text) order; users are densified first so
+        # that the combined key cannot overflow int64
+        user_rank = kernels.distinct(ds.user_id)[1]
+        self.group_keys = kernels.distinct(user_rank * n_texts + rank[ds.query_text_id])[1]
 
     def batch(self, rows: np.ndarray) -> Batch:
         rows = np.asarray(rows, dtype=np.int64)

@@ -10,6 +10,7 @@ import pytest
 
 from rankfuse import config as cf
 from rankfuse import data as dt
+from rankfuse import evaluation as ev
 from rankfuse import model as md
 from rankfuse import training as tr
 from rankfuse.cli import main
@@ -726,3 +727,130 @@ def test_unreadable_config_exits_1(tmp_path, capsys, kind, reason):
     assert len(lines) == 1 and lines[0].startswith(f"error: {config}: "), lines
     assert reason in lines[0]
     assert not (tmp_path / "o").exists()
+
+
+# ---------------------------------------------------------------------------
+# eval checkpoint names
+
+
+@pytest.mark.parametrize("names", [("a", "a"), ("a\tb",), ("a\nb",)])
+def test_eval_refuses_a_repeated_or_unwritable_name_before_scoring(
+    pipe, ranked_model, tmp_path, monkeypatch, names
+):
+    # a repeated name would overwrite the first model's metrics, and a tab or
+    # newline would write a metrics.txt that read_metrics_file refuses
+    scored = []
+    monkeypatch.setattr(ev, "run_comparison", lambda *a, **kw: scored.append(a))
+    argv = ["eval", "--test-file", str(pipe["test"]), "--index", str(pipe["index"]),
+            "--out-dir", str(tmp_path / "ev")]
+    for name in names:
+        argv += ["--checkpoint", f"{name}={ranked_model}"]
+    assert main(argv) == 1
+    assert scored == []
+
+
+# ---------------------------------------------------------------------------
+# the stage contract: config.resolved and manifest.json
+
+
+def stage_case(command, pipe, model, tmp_path):
+    """(argv without --out-dir and --config, the files it names, an argv that
+    fails after the out-dir is made)."""
+    train, test, index, encoder = (pipe[k] for k in ("train", "test", "index", "encoder"))
+    missing = str(tmp_path / "missing.tsv")
+    if command == "gen-data":
+        argv = ["gen-data", "--n-impressions", "300", "--n-users", "5", "--n-items", "60",
+                "--n-queries", "20"]
+        return argv, [], argv + ["--n-impressions", "0"]
+    if command == "pretrain":
+        argv = ["encoder", "pretrain", "--train-file", str(train), "--d", "16", "--d-raw", "32",
+                "--encoder-epochs", "1", "--encoder-batch-size", "128"]
+        return argv, [train], argv + ["--train-file", missing]
+    if command == "finetune":
+        argv = ["encoder", "finetune", "--checkpoint", str(encoder), "--train-file", str(train),
+                "--finetune-epochs", "1", "--encoder-batch-size", "128"]
+        return argv, [encoder, train], argv + ["--train-file", missing]
+    if command == "build-index":
+        argv = ["encoder", "build-index", "--checkpoint", str(encoder),
+                "--dataset-file", str(train), "--dataset-file", str(test)]
+        return argv, [encoder, train, test], argv + ["--dataset-file", missing]
+    if command == "train":
+        argv = ["train", "--train-file", str(train), "--index", str(index)] + TRAIN_FLAGS
+        return argv, [train, index], argv + ["--index", missing]
+    if command == "eval":
+        other = tmp_path / "other.ckpt"
+        other.write_bytes(model.read_bytes())
+        argv = ["eval", "--checkpoint", f"a={model}", "--checkpoint", f"b={other}",
+                "--test-file", str(test), "--index", str(index)]
+        return argv, [model, other, test, index], argv + ["--checkpoint", f"a={model}"]
+    if command == "sweep":
+        argv = ["sweep", "--param", "gamma", "--values", "0,0.3", "--train-file", str(train),
+                "--test-file", str(test), "--index", str(index)] + TRAIN_FLAGS
+        return argv, [train, test, index], argv + ["--test-file", missing]
+    query, user_file, cands, _ = write_rank_inputs(tmp_path, pipe)
+    argv = ["rank", "--checkpoint", str(model), "--index", str(index), "--encoder", str(encoder),
+            "--query", query, "--user-file", str(user_file), "--candidates-file", str(cands),
+            "--explain"]
+    return argv, [model, index, encoder, user_file, cands], argv + ["--encoder", missing]
+
+
+STAGES = ("gen-data", "pretrain", "finetune", "build-index", "train", "eval", "sweep", "rank")
+
+
+@pytest.mark.parametrize("command", STAGES)
+def test_stage_contract(pipe, ranked_model, tmp_path, command):
+    argv, files, broken = stage_case(command, pipe, ranked_model, tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_text("d=16\n", encoding="utf-8")
+    files = [config] + files
+
+    failed = tmp_path / "failed"
+    assert main(broken + ["--out-dir", str(failed), "--config", str(config)]) == 1
+    assert failed.is_dir()
+    assert not (failed / "config.resolved").exists() and not (failed / "manifest.json").exists()
+
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out), "--config", str(config)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"] == {str(p): sha(p) for p in files}
+    written = [p for p in out.iterdir() if p.name != "manifest.json"]
+    assert manifest["outputs"] == {str(p): sha(p) for p in written}
+    assert (out / "config.resolved") in written
+    assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0
+    assert manifest["numpy_version"] == np.__version__
+
+
+OVERRIDE_FLAGS = {
+    ("gen-data",): {"seed", "n_users", "n_items", "n_queries", "n_impressions", "n_categories",
+                    "n_descriptors"},
+    ("encoder", "pretrain"): {"seed", "vocab_size", "d_raw", "d", "encoder_batch_size",
+                              "encoder_epochs", "encoder_lr"},
+    ("encoder", "finetune"): {"seed", "encoder_batch_size", "finetune_epochs", "encoder_lr",
+                              "finetune_lr_factor"},
+    ("encoder", "build-index"): set(),
+    ("train",): {"seed", "d", "alpha", "beta", "gamma", "batch_size", "stage1_epochs",
+                 "stage2_epochs", "lr_stage1", "lr_base", "lr_rsl_finetune", "lr_prim", "grouping"},
+    ("eval",): {"batch_size"},
+    ("rank",): set(),
+}
+OVERRIDE_FLAGS[("sweep",)] = OVERRIDE_FLAGS[("train",)]
+
+
+@pytest.mark.parametrize("path", list(OVERRIDE_FLAGS), ids=" ".join)
+def test_each_subcommand_keeps_its_override_flags(path):
+    import argparse
+
+    from rankfuse.cli import build_parser
+
+    parser = build_parser()
+    for name in path:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    flags = {a.dest: a for a in parser._actions if a.dest in cf.DEFAULTS}
+    assert set(flags) == OVERRIDE_FLAGS[path]
+    assert set(parser.get_default("config_keys")) == OVERRIDE_FLAGS[path]
+    for key, action in flags.items():
+        assert action.option_strings == ["--" + key.replace("_", "-")]
+        assert action.type is type(cf.DEFAULTS[key]) and action.default is None
+    if "grouping" in flags:
+        assert tuple(flags["grouping"].choices) == tr.GROUPINGS

@@ -187,3 +187,13 @@ def test_pad_segments_shapes_and_mask():
 def test_pad_segments_rejects_overflow():
     with pytest.raises(ValidationError):
         kernels.pad_segments(np.arange(5), np.array([0, 5]), 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([-(2**63), -1, 0, 1, 7, 2**62, 2**63 - 1])
+                | st.integers(-(2**63), 2**63 - 1), max_size=200))
+def test_distinct_matches_np_unique(keys):
+    keys = np.array(keys, dtype=np.int64)
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    got_uniq, got_inverse = kernels.distinct(keys)
+    assert np.array_equal(got_uniq, uniq) and np.array_equal(got_inverse, inverse)

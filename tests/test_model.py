@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from rankfuse import autodiff as ad
 from rankfuse import encoder as enc
 from rankfuse import model as md
 from rankfuse.checkpoint import params_digest
-from rankfuse.data import Sample
+from rankfuse.data import Dataset, Sample
 from rankfuse.encoder import PAIR_KEY_SEP, EmbeddingIndex
 from rankfuse.errors import DimensionError, ValidationError
 
@@ -737,6 +739,19 @@ def test_cache_from_dataset_works_per_distinct_text(tmp_path, monkeypatch):
     monkeypatch.undo()
     from_list = md.TrainingCache(samples, make_index(samples, cfg.d), cfg)
     assert np.array_equal(cache.group_keys, from_list.group_keys)
+
+
+def test_group_keys_number_user_query_pairs_at_int64_extreme_user_ids():
+    # a raw user_id * n_texts + query key overflows int64 at these ids; the
+    # product of `over` wraps below that of user 0, out of order
+    samples = make_samples(8)
+    over = 2**63 // len(Dataset.from_samples(samples).texts) + 1
+    users = [2**63 - 1, 0, -(2**63), over, 0, -(2**63), over, 7]
+    samples = [dataclasses.replace(s, user_id=u) for s, u in zip(samples, users)]
+    cfg = tiny_config()
+    cache = md.TrainingCache(samples, make_index(samples, cfg.d), cfg)
+    pairs = sorted({(s.user_id, s.query_text) for s in samples})
+    assert cache.group_keys.tolist() == [pairs.index((s.user_id, s.query_text)) for s in samples]
 
 
 def test_rank_candidates_share_one_history():

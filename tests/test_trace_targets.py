@@ -201,3 +201,10 @@ def test_each_step_is_one_direct_child_span(tiny, tmp_path):
     assert direct_children(train_out, "training.train_stage2", "training.sgd_step") == [steps["stage2"]]
     assert direct_children(train_out, "training.pretrain_rsl", "training.sgd_step") == [steps["stage1"]]
     assert train_out["spans"].count("training.sgd_step") == steps["stage1"] + steps["stage2"]
+
+
+def test_perfbench_selftest_passes():
+    # the benchmark's output checks pass on correct inputs and fail on corrupted ones
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-4000:]
