@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ from rankfuse import data as dt
 from rankfuse import evaluation as ev
 from rankfuse import model as md
 from rankfuse import training as tr
-from rankfuse.cli import main
+from rankfuse.cli import build_parser, main
 from rankfuse.encoder import PAIR_KEY_SEP, load_index
 from rankfuse.evaluation import read_metrics_file
 
@@ -838,10 +839,6 @@ OVERRIDE_FLAGS[("sweep",)] = OVERRIDE_FLAGS[("train",)]
 
 @pytest.mark.parametrize("path", list(OVERRIDE_FLAGS), ids=" ".join)
 def test_each_subcommand_keeps_its_override_flags(path):
-    import argparse
-
-    from rankfuse.cli import build_parser
-
     parser = build_parser()
     for name in path:
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
