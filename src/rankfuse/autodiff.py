@@ -172,24 +172,11 @@ def zero_grad(params: Iterable[Parameter]):
         p.zero_grad()
 
 
-def sgd_step(
-    params: Iterable[Parameter],
-    rates: dict[str, float],
-    momentum: float = 0.0,
-    velocities: dict[str, np.ndarray] | None = None,
-) -> None:
-    """Plain SGD per learning-rate group; optional heavy-ball momentum."""
+def sgd_step(params: Iterable[Parameter], rates: dict[str, float]) -> None:
+    """Plain SGD per learning-rate group; groups without a rate stay frozen."""
     for p in params:
         lr = rates.get(p.group)
-        if lr is None:
-            continue
-        if momentum > 0.0:
-            assert velocities is not None
-            v = velocities.setdefault(p.name, np.zeros_like(p.data))
-            v *= momentum
-            v += p.grad
-            p.data -= lr * v
-        else:
+        if lr is not None:
             p.data -= lr * p.grad
 
 

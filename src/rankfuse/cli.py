@@ -264,6 +264,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if getattr(args, args.param) is not None:
+        raise ValidationError(f"sweep --param {args.param} sets {args.param} per point; "
+                              f"give the swept values with --values, not --{args.param}")
     run = Stage(args, "sweep")
     train_file = run.input(args.train_file, "train split")
     test_file = run.input(args.test_file, "test split")
@@ -290,10 +293,7 @@ def cmd_sweep(args) -> int:
 
     series = ["value\tauc\tgauc\trelevance_score"]
     for i, value in enumerate(values):
-        run_cfg = dict(run.cfg)
-        run_cfg["beta"] = 1.0  # held constant across sweeps
-        run_cfg[args.param] = value
-        tcfg = cf.to_train_config(run_cfg)
+        tcfg = cf.to_train_config({**run.cfg, args.param: value})
         params = md.build_model(mcfg)
         params, _ = tr.train_two_stage(cache, params, tcfg)
         scores = md.score_cache(params, test_cache, batch_size=run.cfg["batch_size"])

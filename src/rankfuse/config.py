@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .data import HISTORY_LIMIT, GeneratorConfig, open_text
+from .data import GeneratorConfig, open_text
 from .encoder import EncoderConfig
 from .errors import ValidationError
 from .model import ModelConfig
@@ -34,7 +34,6 @@ DEFAULTS: dict = {
     "sensitivity_a": 2.0,
     "sensitivity_b": 2.0,
     "rsl_thresholds": (0.25, 0.5, 0.75),
-    "history_limit": HISTORY_LIMIT,
     # encoder
     "vocab_size": 4096,
     "d_raw": 64,
@@ -54,8 +53,6 @@ DEFAULTS: dict = {
     "rsl_hidden": (32,),
     "incentive_hidden": (16,),
     "head_count": 1,
-    "use_wide": False,
-    "base_uses_r_cur": True,
     # training
     "batch_size": 4096,
     "lr_stage1": 1e-4,
@@ -68,7 +65,6 @@ DEFAULTS: dict = {
     "stage1_epochs": 5,
     "stage2_epochs": 10,
     "grouping": "batch",
-    "momentum": 0.0,
 }
 
 
@@ -76,12 +72,6 @@ def _coerce(key: str, raw: str):
     """Parse a raw string to the type of the key's default."""
     default = DEFAULTS[key]
     raw = raw.strip()
-    if isinstance(default, bool):
-        if raw in ("true", "1"):
-            return True
-        if raw in ("false", "0"):
-            return False
-        raise ValidationError(f"config key {key}: expected true/false, got {raw!r}")
     if isinstance(default, int):
         try:
             return int(raw)
@@ -104,8 +94,6 @@ def _coerce(key: str, raw: str):
 
 
 def _fmt_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
     if isinstance(value, float):
@@ -144,8 +132,6 @@ def resolve_config(file_path=None, overrides: dict | None = None) -> dict:
             raise ValidationError(f"unknown config key {key!r}")
         if value is not None:
             cfg[key] = value
-    if cfg["history_limit"] != HISTORY_LIMIT:
-        raise ValidationError(f"history_limit is fixed at {HISTORY_LIMIT}")
     for key, default in DEFAULTS.items():
         values = cfg[key] if isinstance(default, tuple) else (cfg[key],)
         if isinstance(default, (float, tuple)) and not all(math.isfinite(v) for v in values):
@@ -213,8 +199,6 @@ def to_model_config(cfg: dict, variant: str = "full") -> ModelConfig:
         rsl_hidden=tuple(cfg["rsl_hidden"]),
         incentive_hidden=tuple(cfg["incentive_hidden"]),
         head_count=cfg["head_count"],
-        use_wide=cfg["use_wide"],
-        base_uses_r_cur=cfg["base_uses_r_cur"],
         seed=cfg["seed"],
     )
 
@@ -233,6 +217,5 @@ def to_train_config(cfg: dict, gamma: float | None = None, no_two_stage: bool = 
         stage2_epochs=cfg["stage2_epochs"],
         seed=cfg["seed"],
         grouping=cfg["grouping"],
-        momentum=cfg["momentum"],
         no_two_stage=no_two_stage,
     )

@@ -3,7 +3,9 @@
 Three cooperating parts produce a personalized click score:
 
 * a base module emitting one conditional click probability per relevance
-  level (independent sigmoid heads),
+  level (independent sigmoid heads) from the id/token field embeddings,
+  the relevance flags and the query-item pair embedding (the base-only
+  ablation reads the field embeddings alone),
 * a relevance-level module emitting a distribution over the four levels
   (softmax head) from relevance flags plus frozen text embeddings,
 * a preference-incentive module that attends over the user's clicked
@@ -48,8 +50,6 @@ class ModelConfig:
     rsl_hidden: tuple[int, ...] = (32,)
     incentive_hidden: tuple[int, ...] = (16,)
     head_count: int = 1
-    use_wide: bool = False
-    base_uses_r_cur: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -63,8 +63,6 @@ class ModelConfig:
         self.incentive_hidden = tuple(int(v) for v in self.incentive_hidden)
         if self.d % self.head_count != 0:
             raise ValidationError("d must be divisible by head_count")
-        if self.variant == "base-only" and self.use_wide:
-            raise ValidationError("base-only scores from id/token embeddings alone; no wide term")
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +109,12 @@ class ModelParams:
     config: ModelConfig
     embeddings: dict[str, ad.Parameter]
     base_layers: list[ad.DenseLayer]
-    wide: ad.DenseLayer | None = None
     rsl_layers: list[ad.DenseLayer] | None = None
     attention: AttentionParams | None = None
     incentive_layers: list[ad.DenseLayer] | None = None
 
     def all_params(self) -> dict[str, ad.Parameter]:
-        parts = [*self.base_layers, self.wide, *(self.rsl_layers or ()), self.attention,
+        parts = [*self.base_layers, *(self.rsl_layers or ()), self.attention,
                  *(self.incentive_layers or ())]
         params = [*self.embeddings.values(),
                   *(p for part in parts if part is not None for p in part.params())]
@@ -142,10 +139,7 @@ def base_input_dim(config: ModelConfig) -> int:
     n = len(FIELD_NAMES) * config.field_dim
     if config.variant == "base-only":
         return n
-    n += 2  # relevance flags
-    if config.base_uses_r_cur:
-        n += config.d
-    return n
+    return n + 2 + config.d  # relevance flags, pair embedding
 
 
 def build_model(config: ModelConfig, draw: bool = True) -> ModelParams:
@@ -167,8 +161,6 @@ def build_model(config: ModelConfig, draw: bool = True) -> ModelParams:
     n_heads = 1 if config.variant == "base-only" else N_LEVELS
     base_layers = _mlp(rng, (base_input_dim(config),) + config.base_hidden + (n_heads,), "base", "base")
     params = ModelParams(config=config, embeddings=embeddings, base_layers=base_layers)
-    if config.use_wide:
-        params.wide = ad.dense_layer(rng, 2, n_heads, "linear", "wide", "base")
     if config.variant == "base-only":
         return params
     params.rsl_layers = _mlp(rng, (2 + 3 * config.d,) + config.rsl_hidden + (N_LEVELS,), "rsl", "rsl-finetune")
@@ -186,7 +178,6 @@ def build_model(config: ModelConfig, draw: bool = True) -> ModelParams:
 # checkpoint meta <-> config
 
 _META_INT = ("d", "field_dim", "user_buckets", "item_buckets", "category_buckets", "token_buckets", "head_count", "seed")
-_META_BOOL = ("use_wide", "base_uses_r_cur")
 _META_TUPLE = ("base_hidden", "rsl_hidden", "incentive_hidden")
 
 
@@ -194,8 +185,6 @@ def config_to_meta(config: ModelConfig) -> dict[str, str]:
     meta = {"variant": config.variant}
     for k in _META_INT:
         meta[k] = str(getattr(config, k))
-    for k in _META_BOOL:
-        meta[k] = "1" if getattr(config, k) else "0"
     for k in _META_TUPLE:
         meta[k] = ",".join(str(v) for v in getattr(config, k))
     return meta
@@ -206,12 +195,10 @@ def config_from_meta(meta: dict[str, str], path="checkpoint") -> ModelConfig:
     naming `path` when the meta is not a model's."""
     from .checkpoint import require_meta
 
-    require_meta(path, meta, ("variant",) + _META_INT + _META_BOOL + _META_TUPLE, "a model")
+    require_meta(path, meta, ("variant",) + _META_INT + _META_TUPLE, "a model")
     kw: dict = {"variant": meta["variant"]}
     for k in _META_INT:
         kw[k] = int(meta[k])
-    for k in _META_BOOL:
-        kw[k] = meta[k] == "1"
     for k in _META_TUPLE:
         kw[k] = tuple(int(v) for v in meta[k].split(",")) if meta[k] else ()
     return ModelConfig(**kw)
@@ -428,17 +415,11 @@ def _base_input(params: ModelParams, batch: Batch) -> ad.Tensor:
     fields = field_embeddings(params, batch)
     if params.config.variant == "base-only":
         return fields
-    parts = [fields, ad.Tensor(batch.flags)]
-    if params.config.base_uses_r_cur:
-        parts.append(ad.Tensor(batch.pair_emb))
-    return ad.concat(parts, axis=-1)
+    return ad.concat([fields, ad.Tensor(batch.flags), ad.Tensor(batch.pair_emb)], axis=-1)
 
 
 def base_logits_batch(params: ModelParams, batch: Batch) -> ad.Tensor:
-    logits = ad.mlp_apply(params.base_layers, _base_input(params, batch))
-    if params.wide is not None:
-        logits = ad.add(logits, ad.affine(ad.Tensor(batch.flags), params.wide.W, params.wide.b))
-    return logits
+    return ad.mlp_apply(params.base_layers, _base_input(params, batch))
 
 
 def base_forward_batch(params: ModelParams, batch: Batch) -> ad.Tensor:

@@ -44,7 +44,6 @@ class TrainConfig:
     stage2_epochs: int = 10
     seed: int = 0
     grouping: str = "batch"
-    momentum: float = 0.0
     no_two_stage: bool = False
 
     def __post_init__(self):
@@ -61,8 +60,6 @@ class TrainConfig:
             raise ValidationError("epoch counts must be nonnegative")
         if self.grouping not in GROUPINGS:
             raise ValidationError(f"grouping {self.grouping!r} not in {GROUPINGS}")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValidationError("momentum must be in [0,1)")
 
 
 @dataclass
@@ -213,7 +210,6 @@ def pretrain_rsl(
     rng = np.random.default_rng(config.seed + 1)
     trainable = [p for layer in params.rsl_layers for p in layer.params()]
     rates = {"rsl-finetune": config.lr_stage1}
-    velocities: dict[str, np.ndarray] = {}
     for epoch in range(config.stage1_epochs):
         order = rng.permutation(cache.n)
         for batch_no, lo in enumerate(range(0, cache.n, config.batch_size)):
@@ -225,7 +221,7 @@ def pretrain_rsl(
             report = RiskReport("stage1", epoch, batch_no, float(loss.data), 0.0, float(loss.data))
             _check_finite(float(loss.data), report, rows)
             tape.backward(loss)
-            sgd_step(trainable, rates, config.momentum, velocities)
+            sgd_step(trainable, rates)
             reports.append(report)
     return params, reports
 
@@ -239,7 +235,6 @@ def train_stage2(
     trainable = list(params.all_params().values())
     reports: list[RiskReport] = []
     rng = np.random.default_rng(config.seed + 2)
-    velocities: dict[str, np.ndarray] = {}
     for epoch in range(config.stage2_epochs):
         order = rng.permutation(cache.n)
         for batch_no, lo in enumerate(range(0, cache.n, config.batch_size)):
@@ -254,7 +249,7 @@ def train_stage2(
                 )
             _check_finite(float(loss.data), report, rows)
             tape.backward(loss)
-            sgd_step(trainable, rates, config.momentum, velocities)
+            sgd_step(trainable, rates)
             reports.append(report)
     return params, reports
 

@@ -423,6 +423,44 @@ def test_sweep_builds_one_cache_per_split(pipe, tmp_path, monkeypatch):
     assert built == [len(dt.read_dataset(pipe[k])) for k in ("train", "test")]
 
 
+def test_sweep_points_train_with_the_resolved_config(pipe, tmp_path, capsys):
+    # a config file's beta reaches every point, as the same flag does on train
+    config = tmp_path / "run.cfg"
+    config.write_text("beta=5.0\n", encoding="utf-8")
+    sweep_out = tmp_path / "sw"
+    code = main(
+        ["sweep", "--param", "gamma", "--values", "0.3,1", "--config", str(config),
+         "--train-file", str(pipe["train"]), "--test-file", str(pipe["test"]),
+         "--index", str(pipe["index"]), "--out-dir", str(sweep_out)] + TRAIN_FLAGS
+    )
+    assert code == 0
+    row = (sweep_out / "sweep-gamma.tsv").read_text().splitlines()[1].split("\t")
+    m = tmp_path / "m"
+    assert run_train(pipe, m, ["--beta", "5", "--gamma", "0.3"]) == 0
+    ev_out = tmp_path / "ev"
+    assert main(
+        ["eval", "--checkpoint", f"m={m / 'model.ckpt'}", "--test-file", str(pipe["test"]),
+         "--index", str(pipe["index"]), "--out-dir", str(ev_out)]
+    ) == 0
+    metrics = read_metrics_file(ev_out / "metrics.txt")
+    assert [float(v) for v in row[1:]] == [
+        metrics[f"m.{k}"] for k in ("auc", "gauc", "relevance_score")]
+
+    # the swept key's own flag would be overridden at every point: refused
+    for param in ("alpha", "gamma"):
+        capsys.readouterr()
+        out = tmp_path / f"own-{param}"
+        code = main(
+            ["sweep", "--param", param, "--values", "1,2", f"--{param}", "2",
+             "--train-file", str(pipe["train"]), "--test-file", str(pipe["test"]),
+             "--index", str(pipe["index"]), "--out-dir", str(out)] + TRAIN_FLAGS
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--values" in err, err
+        assert not out.exists()
+
+
 def test_sweep_needs_two_values(pipe, tmp_path):
     for n, values in enumerate(("4", "nan,4", "4,inf")):
         code = main(
@@ -636,6 +674,46 @@ def test_checkpoint_with_a_misshapen_parameter_exits_1(pipe, ranked_model, tmp_p
         assert main(argv + [str(bad), "--out-dir", str(tmp_path / f"o{n}")]) == 1, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {bad}: parameter {name} "), err
+
+
+def test_checkpoint_of_a_retired_model_shape_exits_1(pipe, ranked_model, tmp_path, capsys):
+    from rankfuse.autodiff import Parameter
+    from rankfuse.checkpoint import load_params, save_params
+
+    params, meta = load_params(ranked_model)
+    # a wide term over the two relevance flags, one output per level
+    wide = {**params,
+            "wide.W": Parameter("wide.W", np.zeros((2, md.N_LEVELS)), "base"),
+            "wide.b": Parameter("wide.b", np.zeros(md.N_LEVELS), "base")}
+    # a base module that did not read the pair embedding: its last d input rows
+    first = params["base.0.W"]
+    no_pair = {**params, "base.0.W": Parameter("base.0.W", first.data[:-int(meta["d"])], "base")}
+    query, user_file, cands, _ = write_rank_inputs(tmp_path, pipe)
+    for n, (retired, extra_meta) in enumerate(
+        ((wide, {"use_wide": "1"}), (no_pair, {"base_uses_r_cur": "0"}))
+    ):
+        bad = tmp_path / f"retired{n}.ckpt"
+        save_params(bad, retired, {**meta, **extra_meta})
+        for argv in (
+            ["rank", "--checkpoint", str(bad), "--index", str(pipe["index"]), "--query", query,
+             "--user-file", str(user_file), "--candidates-file", str(cands)],
+            ["eval", "--checkpoint", f"old={bad}", "--test-file", str(pipe["test"]),
+             "--index", str(pipe["index"])],
+        ):
+            capsys.readouterr()
+            assert main(argv + ["--out-dir", str(tmp_path / f"o{n}{argv[0]}")]) == 1, argv
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: {bad}: "), err
+
+
+def test_checkpoint_with_retired_default_meta_loads(ranked_model, tmp_path):
+    from rankfuse.checkpoint import load_params, params_digest, save_params
+
+    params, meta = load_params(ranked_model)
+    old = tmp_path / "old.ckpt"
+    save_params(old, params, {**meta, "use_wide": "0", "base_uses_r_cur": "1"})
+    back, _ = md.load_model(str(old))
+    assert params_digest(back.all_params()) == params_digest(params)
 
 
 def test_train_rejects_non_finite_learning_rate(pipe, tmp_path, capsys):

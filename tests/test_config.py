@@ -1,6 +1,7 @@
 import pytest
 
 from rankfuse import config as cf
+from rankfuse.cli import main
 from rankfuse.errors import ValidationError
 
 
@@ -11,7 +12,6 @@ def test_documented_defaults():
     assert cfg["gamma"] == 0.3
     assert cfg["batch_size"] == 4096
     assert cfg["d"] == 32
-    assert cfg["history_limit"] == 50
     assert cfg["rsl_thresholds"] == (0.25, 0.5, 0.75)
     assert cfg["seed"] == 0
     assert cfg["lr_stage1"] == 1e-4
@@ -27,7 +27,7 @@ def test_parse_file_with_comments(tmp_path):
         "\n"
         "alpha=6.0\n"
         "batch_size=256  # inline comment\n"
-        "use_wide=true\n"
+        "grouping=query-group\n"
         "rsl_thresholds=0.1,0.5,0.9\n"
         "base_hidden=8,4\n",
         encoding="utf-8",
@@ -36,7 +36,7 @@ def test_parse_file_with_comments(tmp_path):
     assert got == {
         "alpha": 6.0,
         "batch_size": 256,
-        "use_wide": True,
+        "grouping": "query-group",
         "rsl_thresholds": (0.1, 0.5, 0.9),
         "base_hidden": (8, 4),
     }
@@ -59,7 +59,6 @@ def test_type_coercion_errors(tmp_path):
     for line, frag in (
         ("batch_size=big", "integer"),
         ("alpha=fast", "number"),
-        ("use_wide=yes", "true/false"),
         ("base_hidden=8,x", "comma-separated"),
         ("alpha", "key=value"),
     ):
@@ -78,15 +77,23 @@ def test_precedence_file_then_overrides(tmp_path):
     assert cfg["beta"] == 1.0  # default survives
 
 
-def test_history_limit_is_fixed(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("history_limit=10\n", encoding="utf-8")
-    with pytest.raises(ValidationError, match="fixed"):
-        cf.resolve_config(path)
+@pytest.mark.parametrize("line", ["history_limit=50", "use_wide=false", "base_uses_r_cur=true",
+                                  "momentum=0.0"])
+def test_retired_key_is_unknown(tmp_path, capsys, line):
+    # each line as a config.resolved written before these keys were retired holds it
+    path = tmp_path / "old.resolved"
+    path.write_text(line + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["gen-data", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "unknown key" in err and repr(line.split("=")[0]) in err, err
+    assert not (tmp_path / "o").exists()
 
 
 def test_resolved_round_trip(tmp_path):
-    cfg = cf.resolve_config(overrides={"alpha": 2.5, "base_hidden": (8,), "use_wide": True})
+    cfg = cf.resolve_config(
+        overrides={"alpha": 2.5, "base_hidden": (8,), "grouping": "query-group"}
+    )
     path = cf.write_resolved(cfg, tmp_path)
     assert path.name == "config.resolved"
     reparsed = cf.parse_config_file(path)
@@ -130,3 +137,31 @@ def test_non_finite_floats_rejected(tmp_path):
     path.write_text("rsl_thresholds=0.25,nan,0.75\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="rsl_thresholds"):
         cf.resolve_config(path)
+
+
+# one valid value other than the default, per key
+ALTERNATES = {
+    "seed": 1, "n_users": 50, "n_items": 500, "n_queries": 100, "n_impressions": 5000,
+    "n_categories": 6, "n_descriptors": 60, "w_quality": 2.0, "w_relevance": 2.0, "bias": 0.0,
+    "sensitivity_a": 1.0, "sensitivity_b": 1.0, "rsl_thresholds": (0.2, 0.5, 0.8),
+    "vocab_size": 2048, "d_raw": 32, "d": 16, "encoder_lr": 0.25, "encoder_batch_size": 128,
+    "encoder_epochs": 2, "finetune_lr_factor": 0.5, "finetune_epochs": 2,
+    "field_dim": 8, "user_buckets": 512, "item_buckets": 2048, "category_buckets": 32,
+    "token_buckets": 256, "base_hidden": (32,), "rsl_hidden": (16,), "incentive_hidden": (8,),
+    "head_count": 2,
+    "batch_size": 512, "lr_stage1": 1e-3, "lr_base": 1e-3, "lr_rsl_finetune": 1e-4,
+    "lr_prim": 1e-3, "alpha": 2.0, "beta": 0.5, "gamma": 0.1, "stage1_epochs": 1,
+    "stage2_epochs": 1, "grouping": "query-group",
+}
+
+
+@pytest.mark.parametrize("key", list(cf.DEFAULTS))
+def test_every_key_reaches_a_builder(key):
+    # a key that no builder reads is a setting that changes nothing
+    assert key in ALTERNATES, f"add an alternate value for {key}"
+    builders = (cf.to_generator_config, cf.to_encoder_config, cf.to_model_config,
+                cf.to_train_config)
+    base = cf.resolve_config()
+    changed = cf.resolve_config(overrides={key: ALTERNATES[key]})
+    assert changed[key] != base[key]
+    assert any(build(changed) != build(base) for build in builders), key

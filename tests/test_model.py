@@ -95,8 +95,6 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         md.ModelConfig(d=10, head_count=4)
     with pytest.raises(ValidationError):
-        md.ModelConfig(variant="base-only", use_wide=True)
-    with pytest.raises(ValidationError):
         md.ModelConfig(field_dim=0)
 
 
@@ -122,7 +120,7 @@ def test_build_model_deterministic():
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    params = md.build_model(tiny_config(use_wide=True))
+    params = md.build_model(tiny_config())
     path = str(tmp_path / "model.ckpt")
     md.save_model(params, path, extra_meta={"note": "x"})
     back, meta = md.load_model(path)
@@ -139,8 +137,7 @@ def test_checkpoint_roundtrip(tmp_path):
         md.load_model(str(tmp_path / "bad.ckpt"))
 
 
-@pytest.mark.parametrize("kw", [{}, {"use_wide": True}, {"variant": "base-only"},
-                                {"variant": "no-prim", "head_count": 2}])
+@pytest.mark.parametrize("kw", [{}, {"variant": "base-only"}, {"variant": "no-prim", "head_count": 2}])
 def test_load_model_draws_no_random_values(tmp_path, monkeypatch, kw):
     params = md.build_model(tiny_config(**kw))
     path = str(tmp_path / "model.ckpt")

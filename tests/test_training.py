@@ -79,8 +79,6 @@ def test_train_config_validation():
     with pytest.raises(ValidationError):
         tr.TrainConfig(grouping="session")
     with pytest.raises(ValidationError):
-        tr.TrainConfig(momentum=1.0)
-    with pytest.raises(ValidationError):
         tr.TrainConfig(stage1_epochs=-1)
     for name in ("alpha", "beta", "gamma", "lr_stage1", "lr_base", "lr_rsl_finetune", "lr_prim"):
         for bad in (float("nan"), float("inf")):
@@ -346,19 +344,6 @@ def test_sgd_step_ignores_groups_without_rate():
     p.grad[...] = 5.0
     tr.sgd_step([p], {"base": 0.1})
     assert np.array_equal(p.data, np.ones(3))
-
-
-def test_sgd_momentum_hand_trace():
-    p = ad.Parameter("a", np.zeros(2), "base")
-    vel = {}
-    p.grad[...] = np.array([1.0, 2.0])
-    tr.sgd_step([p], {"base": 0.1}, momentum=0.5, velocities=vel)
-    p.grad[...] = np.array([0.0, 1.0])
-    tr.sgd_step([p], {"base": 0.1}, momentum=0.5, velocities=vel)
-    # v1 = g1; v2 = 0.5 v1 + g2; x = -lr (v1 + v2)
-    v1 = np.array([1.0, 2.0])
-    v2 = 0.5 * v1 + np.array([0.0, 1.0])
-    assert np.allclose(p.data, -0.1 * (v1 + v2), atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
