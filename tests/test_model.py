@@ -137,7 +137,8 @@ def test_checkpoint_roundtrip(tmp_path):
         md.load_model(str(tmp_path / "bad.ckpt"))
 
 
-@pytest.mark.parametrize("kw", [{}, {"variant": "base-only"}, {"variant": "no-prim", "head_count": 2}])
+@pytest.mark.parametrize("kw", [{}, {"variant": "no-prim"}, {"variant": "base-only"},
+                                {"variant": "no-prim", "head_count": 2}])
 def test_load_model_draws_no_random_values(tmp_path, monkeypatch, kw):
     params = md.build_model(tiny_config(**kw))
     path = str(tmp_path / "model.ckpt")
