@@ -605,78 +605,62 @@ def row_scatter(values, idx, size: int, fill: float) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# attention einsum primitives
+# attention primitives
+
+
+def matmul_t(x, w) -> Tensor:
+    """x @ w.T for 2D x[b,e] and w[d,e], giving [b,d]: one op that reads w
+    in place, where a transpose op and matmul would be two."""
+    x, w = _as_tensor(x), _as_tensor(w)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
+        raise DimensionError(f"matmul_t expects x[b,e], w[d,e]: {x.data.shape} vs {w.data.shape}")
+    out_data = x.data @ w.data.T
+
+    def fn(g):
+        if x.requires_grad:
+            _accum(x, g @ w.data)
+        if w.requires_grad:
+            _accum(w, g.T @ x.data)
+
+    return _make(out_data, (x, w), fn)
 
 
 def attn_scores(q, k) -> Tensor:
-    """scores[b,h,l] = sum_e q[b,h,e] * k[b,l,h,e]."""
+    """scores[b,l] = sum_e q[b,e] * k[b,l,e]."""
     q, k = _as_tensor(q), _as_tensor(k)
-    if q.data.ndim != 3 or k.data.ndim != 4:
-        raise DimensionError("attn_scores expects q[b,h,e], k[b,l,h,e]")
-    if q.data.shape[0] != k.data.shape[0] or q.data.shape[1:] != k.data.shape[2:]:
+    if q.data.ndim != 2 or k.data.ndim != 3:
+        raise DimensionError("attn_scores expects q[b,e], k[b,l,e]")
+    if q.data.shape[0] != k.data.shape[0] or q.data.shape[1] != k.data.shape[2]:
         raise DimensionError(
             f"attn_scores shape mismatch: {q.data.shape} vs {k.data.shape}"
         )
-    out_data = np.einsum("bhe,blhe->bhl", q.data, k.data)
+    out_data = np.einsum("be,ble->bl", q.data, k.data)
 
     def fn(g):
         if q.requires_grad:
-            _accum(q, np.einsum("bhl,blhe->bhe", g, k.data))
+            _accum(q, np.einsum("bl,ble->be", g, k.data))
         if k.requires_grad:
-            _accum(k, np.einsum("bhl,bhe->blhe", g, q.data))
+            _accum(k, np.einsum("bl,be->ble", g, q.data))
 
     return _make(out_data, (q, k), fn)
 
 
 def attn_mix(w, v) -> Tensor:
-    """out[b,h,e] = sum_l w[b,h,l] * v[b,l,h,e]."""
+    """out[b,e] = sum_l w[b,l] * v[b,l,e]."""
     w, v = _as_tensor(w), _as_tensor(v)
-    if w.data.ndim != 3 or v.data.ndim != 4:
-        raise DimensionError("attn_mix expects w[b,h,l], v[b,l,h,e]")
-    if (
-        w.data.shape[0] != v.data.shape[0]
-        or w.data.shape[1] != v.data.shape[2]
-        or w.data.shape[2] != v.data.shape[1]
-    ):
+    if w.data.ndim != 2 or v.data.ndim != 3:
+        raise DimensionError("attn_mix expects w[b,l], v[b,l,e]")
+    if w.data.shape != v.data.shape[:2]:
         raise DimensionError(f"attn_mix shape mismatch: {w.data.shape} vs {v.data.shape}")
-    out_data = np.einsum("bhl,blhe->bhe", w.data, v.data)
+    out_data = np.einsum("bl,ble->be", w.data, v.data)
 
     def fn(g):
         if w.requires_grad:
-            _accum(w, np.einsum("bhe,blhe->bhl", g, v.data))
+            _accum(w, np.einsum("be,ble->bl", g, v.data))
         if v.requires_grad:
-            _accum(v, np.einsum("bhl,bhe->blhe", w.data, g))
+            _accum(v, np.einsum("bl,be->ble", w.data, g))
 
     return _make(out_data, (w, v), fn)
-
-
-def head_project(x, w, transpose: bool = False) -> Tensor:
-    """Each head's rows times its own column block of w[d, h*e], head h
-    owning columns h*e:(h+1)*e: out[b,h] = x[b,h] @ w_h, taking x[b,h,d] to
-    [b,h,e]; with transpose, out[b,h] = x[b,h] @ w_h.T, taking x[b,h,e] to
-    [b,h,d]."""
-    x, w = _as_tensor(x), _as_tensor(w)
-    if x.data.ndim != 3 or w.data.ndim != 2:
-        raise DimensionError("head_project expects x[b,h,*], w[d,h*e]")
-    h = x.data.shape[1]
-    d, width = w.data.shape
-    if width % h or x.data.shape[2] != (width // h if transpose else d):
-        raise DimensionError(f"head_project shape mismatch: {x.data.shape} vs {w.data.shape}")
-    wh = w.data.reshape(d, h, width // h).transpose(1, 0, 2)  # [h, d, e]
-    xh = x.data.transpose(1, 0, 2)  # [h, b, *]
-    out_data = (xh @ (wh.transpose(0, 2, 1) if transpose else wh)).transpose(1, 0, 2)
-
-    def fn(g):
-        gh = g.transpose(1, 0, 2)
-        if x.requires_grad:
-            _accum(x, (gh @ (wh if transpose else wh.transpose(0, 2, 1))).transpose(1, 0, 2))
-        if w.requires_grad:
-            # dw_h = x_h.T @ g_h, or g_h.T @ x_h for the transposed product
-            a, c = (gh, xh) if transpose else (xh, gh)
-            dwh = a.transpose(0, 2, 1) @ c  # [h, d, e]
-            _accum(w, dwh.transpose(1, 0, 2).reshape(d, width))
-
-    return _make(out_data, (x, w), fn)
 
 
 # ---------------------------------------------------------------------------

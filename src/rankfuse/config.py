@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .data import GeneratorConfig, open_text
 from .encoder import EncoderConfig
-from .errors import ValidationError
+from .errors import DatasetParseError, ValidationError
 from .model import ModelConfig
 from .training import TrainConfig
 
@@ -52,7 +52,6 @@ DEFAULTS: dict = {
     "base_hidden": (64, 32),
     "rsl_hidden": (32,),
     "incentive_hidden": (16,),
-    "head_count": 1,
     # training
     "batch_size": 4096,
     "lr_stage1": 1e-4,
@@ -68,20 +67,21 @@ DEFAULTS: dict = {
 }
 
 
-def _coerce(key: str, raw: str):
-    """Parse a raw string to the type of the key's default."""
+def _coerce(key: str, raw: str, line_no: int):
+    """Parse a raw string of config line `line_no` to the type of the key's
+    default."""
     default = DEFAULTS[key]
     raw = raw.strip()
     if isinstance(default, int):
         try:
             return int(raw)
         except ValueError:
-            raise ValidationError(f"config key {key}: expected integer, got {raw!r}") from None
+            raise DatasetParseError(line_no, f"config key {key}: expected integer, got {raw!r}") from None
     if isinstance(default, float):
         try:
             return float(raw)
         except ValueError:
-            raise ValidationError(f"config key {key}: expected number, got {raw!r}") from None
+            raise DatasetParseError(line_no, f"config key {key}: expected number, got {raw!r}") from None
     if isinstance(default, tuple):
         if raw == "":
             return ()
@@ -89,7 +89,7 @@ def _coerce(key: str, raw: str):
         try:
             return tuple(elem(part) for part in raw.split(","))
         except ValueError:
-            raise ValidationError(f"config key {key}: expected comma-separated numbers") from None
+            raise DatasetParseError(line_no, f"config key {key}: expected comma-separated numbers") from None
     return raw
 
 
@@ -102,23 +102,23 @@ def _fmt_value(value) -> str:
 
 
 def parse_config_file(path) -> dict:
-    """Read key=value overrides; `#` starts a comment, blank lines ignored."""
+    """Read key=value overrides; `#` starts a comment, blank lines ignored.
+    A bad line raises DatasetParseError naming the file and the line."""
     out: dict = {}
     with open_text(path) as fh:
-        text = fh.read()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValidationError(f"config line {line_no}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if key not in DEFAULTS:
-            raise ValidationError(f"config line {line_no}: unknown key {key!r}")
-        if key in out:
-            raise ValidationError(f"config line {line_no}: duplicate key {key!r}")
-        out[key] = _coerce(key, value)
+        for line_no, raw in enumerate(fh.read().splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise DatasetParseError(line_no, f"expected key=value, got {raw!r}")
+            key, value = line.split("=", 1)
+            key = key.strip()
+            if key not in DEFAULTS:
+                raise DatasetParseError(line_no, f"unknown key {key!r}")
+            if key in out:
+                raise DatasetParseError(line_no, f"duplicate key {key!r}")
+            out[key] = _coerce(key, value, line_no)
     return out
 
 
@@ -198,7 +198,6 @@ def to_model_config(cfg: dict, variant: str = "full") -> ModelConfig:
         base_hidden=tuple(cfg["base_hidden"]),
         rsl_hidden=tuple(cfg["rsl_hidden"]),
         incentive_hidden=tuple(cfg["incentive_hidden"]),
-        head_count=cfg["head_count"],
         seed=cfg["seed"],
     )
 

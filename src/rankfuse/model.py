@@ -28,7 +28,7 @@ from . import autodiff as ad
 from . import kernels
 from .data import Dataset, Sample, derive_flags
 from .encoder import EmbeddingIndex, token_id, tokenize
-from .errors import DimensionError, ValidationError
+from .errors import DatasetParseError, DimensionError, ValidationError
 
 SCORE_EPS = 1e-7
 SCORE_BATCH = 4096  # rows per score_batch call when scoring without a tape
@@ -49,20 +49,17 @@ class ModelConfig:
     base_hidden: tuple[int, ...] = (64, 32)
     rsl_hidden: tuple[int, ...] = (32,)
     incentive_hidden: tuple[int, ...] = (16,)
-    head_count: int = 1
     seed: int = 0
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValidationError(f"variant {self.variant!r} not in {VARIANTS}")
-        for name in ("d", "field_dim", "user_buckets", "item_buckets", "category_buckets", "token_buckets", "head_count"):
+        for name in ("d", "field_dim", "user_buckets", "item_buckets", "category_buckets", "token_buckets"):
             if int(getattr(self, name)) <= 0:
                 raise ValidationError(f"{name} must be positive")
         self.base_hidden = tuple(int(v) for v in self.base_hidden)
         self.rsl_hidden = tuple(int(v) for v in self.rsl_hidden)
         self.incentive_hidden = tuple(int(v) for v in self.incentive_hidden)
-        if self.d % self.head_count != 0:
-            raise ValidationError("d must be divisible by head_count")
 
 
 # ---------------------------------------------------------------------------
@@ -90,15 +87,12 @@ class AttentionParams:
     w_q: ad.Parameter
     w_k: ad.Parameter
     w_v: ad.Parameter
-    head_count: int = 1
 
     def __post_init__(self):
         d = self.w_q.data.shape[0]
         for w in (self.w_q, self.w_k, self.w_v):
             if w.data.shape != (d, d):
                 raise DimensionError("attention projections must be square and equal-sized")
-        if d % self.head_count != 0:
-            raise ValidationError("attention dim must divide into heads")
 
     def params(self) -> list[ad.Parameter]:
         return [self.w_q, self.w_k, self.w_v]
@@ -169,7 +163,6 @@ def build_model(config: ModelConfig, draw: bool = True) -> ModelParams:
         ad.Parameter("attn.w_q", rng.normal(0.0, scale, size=(config.d, config.d)), "prim"),
         ad.Parameter("attn.w_k", rng.normal(0.0, scale, size=(config.d, config.d)), "prim"),
         ad.Parameter("attn.w_v", rng.normal(0.0, scale, size=(config.d, config.d)), "prim"),
-        head_count=config.head_count,
     )
     params.incentive_layers = _mlp(rng, (2 * config.d,) + config.incentive_hidden + (1,), "incentive", "prim")
     return params
@@ -177,7 +170,7 @@ def build_model(config: ModelConfig, draw: bool = True) -> ModelParams:
 
 # checkpoint meta <-> config
 
-_META_INT = ("d", "field_dim", "user_buckets", "item_buckets", "category_buckets", "token_buckets", "head_count", "seed")
+_META_INT = ("d", "field_dim", "user_buckets", "item_buckets", "category_buckets", "token_buckets", "seed")
 _META_TUPLE = ("base_hidden", "rsl_hidden", "incentive_hidden")
 
 
@@ -196,6 +189,9 @@ def config_from_meta(meta: dict[str, str], path="checkpoint") -> ModelConfig:
     from .checkpoint import require_meta
 
     require_meta(path, meta, ("variant",) + _META_INT + _META_TUPLE, "a model")
+    # a multi-head model's d x d weights would load and score as one head
+    if meta.get("head_count", "1") != "1":
+        raise DatasetParseError(None, f"{path}: head_count={meta['head_count']}; only one attention head is supported")
     kw: dict = {"variant": meta["variant"]}
     for k in _META_INT:
         kw[k] = int(meta[k])
@@ -447,35 +443,20 @@ def rsl_forward_batch(params: ModelParams, batch: Batch) -> ad.Tensor:
     return ad.softmax(rsl_logits_batch(params, batch))
 
 
-def _split_heads(x: ad.Tensor, h: int) -> ad.Tensor:
-    b, d = x.data.shape
-    return ad.reshape(x, (b, h, d // h))
-
-
-def _per_head(x: np.ndarray, h: int) -> ad.Tensor:
-    """A constant [b, L, d] history input as the [b, L, h, d] view that
-    attn_scores and attn_mix take, every head seeing the whole row."""
-    b, L, d = x.shape
-    return ad.Tensor(np.broadcast_to(x[:, :, None, :], (b, L, h, d)))
-
-
 def _attention_softmax(
     attn: AttentionParams,
     q_cur: np.ndarray,
     hist_q: np.ndarray,
     mask: np.ndarray,
 ) -> ad.Tensor:
-    """Attention weights [B, h, L], scored in embedding space: head h's
-    score of slot l is (q_h W_k,h^T) . x_q[l] / sqrt(e), which equals
-    q_h . (x_q[l] W_k,h) / sqrt(e) without projecting any slot."""
+    """Attention weights [B, L], scored in embedding space: the score of
+    slot l is (q W_k^T) . x_q[l] / sqrt(d), which equals q . (x_q[l] W_k) /
+    sqrt(d) without projecting any slot."""
     if hist_q.shape[0] == 0:
         raise ValidationError("attention needs at least one history entry")
-    h = attn.head_count
-    e = hist_q.shape[2] // h
-    q = _split_heads(ad.matmul(ad.Tensor(q_cur), attn.w_q), h)
-    q_keys = ad.head_project(q, attn.w_k, transpose=True)  # [B, h, d]
-    scores = ad.mul(ad.attn_scores(q_keys, _per_head(hist_q, h)), 1.0 / np.sqrt(e))
-    return ad.softmax(scores, mask=np.broadcast_to(mask[:, None, :], scores.data.shape))
+    q_keys = ad.matmul_t(ad.matmul(ad.Tensor(q_cur), attn.w_q), attn.w_k)  # [B, d]
+    scores = ad.mul(ad.attn_scores(q_keys, hist_q), 1.0 / np.sqrt(hist_q.shape[2]))
+    return ad.softmax(scores, mask=mask)
 
 
 def attention_expectation(
@@ -485,20 +466,14 @@ def attention_expectation(
     hist_r: np.ndarray,
     mask: np.ndarray,
 ) -> ad.Tensor:
-    """Target attention over history: softmax(QK^T/sqrt(e)) mixing projected
+    """Target attention over history: softmax(QK^T/sqrt(d)) mixing projected
     relevance embeddings. Returns [B, d].
 
-    Each head mixes the raw relevance embeddings first and projects the mix
-    with its block of W_v after, (sum_l w_l x_r[l]) W_v,h, so no [B, L, d]
-    array is projected or carries a gradient."""
-    h = attn.head_count
-    b, _, d = hist_r.shape
+    It mixes the raw relevance embeddings first and projects the mix after,
+    (sum_l w_l x_r[l]) W_v, so no [B, L, d] array is projected or carries a
+    gradient, and a one-entry history gives x_r W_v bit for bit."""
     weights = _attention_softmax(attn, q_cur, hist_q, mask)
-    mixed = ad.attn_mix(weights, _per_head(hist_r, h))  # [B, h, d]
-    if h == 1:
-        # a plain GEMM, so a one-entry history gives x_r W_v bit for bit
-        return ad.matmul(ad.reshape(mixed, (b, d)), attn.w_v)
-    return ad.reshape(ad.head_project(mixed, attn.w_v), (b, d))
+    return ad.matmul(ad.attn_mix(weights, hist_r), attn.w_v)
 
 
 def attention_weights(
@@ -508,11 +483,11 @@ def attention_weights(
     hist_r: np.ndarray,
     mask: np.ndarray,
 ) -> np.ndarray:
-    """Attention distribution per (row, head) over history slots, [B, h, L].
-    Masked slots carry exactly zero weight. hist_r does not enter the
-    weights; it stays in the signature, which matches
-    attention_expectation's."""
-    return _attention_softmax(attn, q_cur, hist_q, mask).data
+    """Attention distribution per row over history slots, [B, 1, L], so
+    that a [B, 1, L] view of the mask lines up with it. Masked slots carry
+    exactly zero weight. hist_r does not enter the weights; it stays in the
+    signature, which matches attention_expectation's."""
+    return _attention_softmax(attn, q_cur, hist_q, mask).data[:, None, :]
 
 
 def prim_tau_batch(params: ModelParams, batch: Batch) -> ad.Tensor:

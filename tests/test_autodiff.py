@@ -345,33 +345,29 @@ def test_grad_select_and_scatter():
 
 
 def test_grad_attention_primitives():
-    rng = np.random.default_rng(18)
-    q = _param(rng, (2, 2, 3), "q")
-    k = _param(rng, (2, 4, 2, 3), "k")
-    proj = ad.Tensor(rng.normal(size=(2, 2, 4)))
+    rng = np.random.default_rng(22)
+    q = _param(rng, (2, 3), "q")
+    k = _param(rng, (2, 4, 3), "k")
+    proj = ad.Tensor(rng.normal(size=(2, 4)))
     _fd(lambda: (ad.attn_scores(q, k) * proj).sum(), [q, k])
-    w = _param(rng, (2, 2, 4), "w")
-    v = _param(rng, (2, 4, 2, 3), "v")
-    proj2 = ad.Tensor(rng.normal(size=(2, 2, 3)))
+    w = _param(rng, (2, 4), "w")
+    v = _param(rng, (2, 4, 3), "v")
+    proj2 = ad.Tensor(rng.normal(size=(2, 3)))
     _fd(lambda: (ad.attn_mix(w, v) * proj2).sum(), [w, v])
-    for heads, transpose in ((1, True), (2, False), (2, True), (3, True)):
-        x = _param(rng, (2, heads, 2 if transpose else 6), "x")
-        wt = _param(rng, (6, 2 * heads), "wt")
-        proj3 = ad.Tensor(rng.normal(size=(2, heads, 6 if transpose else 2)))
-        _fd(lambda: (ad.head_project(x, wt, transpose) * proj3).sum(), [x, wt])
-
-
-def test_head_project_is_per_head_block_product():
-    rng = np.random.default_rng(23)
-    x, w = rng.normal(size=(4, 3, 5)), rng.normal(size=(5, 6))
-    out = ad.head_project(x, w).data
-    for h in range(3):
-        assert np.allclose(out[:, h], x[:, h] @ w[:, 2 * h : 2 * h + 2], rtol=0, atol=1e-13)
-    back = ad.head_project(out, w, transpose=True).data
-    for h in range(3):
-        assert np.allclose(back[:, h], out[:, h] @ w[:, 2 * h : 2 * h + 2].T, rtol=0, atol=1e-13)
-    with pytest.raises(DimensionError):
-        ad.head_project(x, rng.normal(size=(5, 7)))
+    x = _param(rng, (2, 3), "x")
+    wt = _param(rng, (5, 3), "wt")
+    proj3 = ad.Tensor(rng.normal(size=(2, 5)))
+    _fd(lambda: (ad.matmul_t(x, wt) * proj3).sum(), [x, wt])
+    assert np.array_equal(ad.matmul_t(x, wt).data, x.data @ wt.data.T)
+    for bad in ((q, _param(rng, (2, 4, 2))), (q, _param(rng, (3, 4, 3))), (k, k)):
+        with pytest.raises(DimensionError):
+            ad.attn_scores(*bad)
+    for bad in ((w, _param(rng, (2, 5, 3))), (v, v)):
+        with pytest.raises(DimensionError):
+            ad.attn_mix(*bad)
+    for bad in ((x, _param(rng, (5, 2))), (k, wt)):
+        with pytest.raises(DimensionError):
+            ad.matmul_t(*bad)
 
 
 def test_constant_operands_get_no_gradient(monkeypatch):
@@ -380,19 +376,20 @@ def test_constant_operands_get_no_gradient(monkeypatch):
     rng = np.random.default_rng(24)
     x = ad.Tensor(rng.normal(size=(3, 4)))
     w = _param(rng, (4, 2), "w")
-    q = _param(rng, (3, 2, 4), "q")
-    k = ad.Tensor(rng.normal(size=(3, 5, 2, 4)))
-    mix = _param(rng, (3, 2, 5), "mix")
+    q = _param(rng, (3, 4), "q")
+    k = ad.Tensor(rng.normal(size=(3, 5, 4)))
+    mix = _param(rng, (3, 5), "mix")
+    wt = _param(rng, (2, 4), "wt")
     einsums = []
     real_einsum = np.einsum
     monkeypatch.setattr(np, "einsum", lambda *a, **kw: einsums.append(a[0]) or real_einsum(*a, **kw))
     with ad.Tape() as tape:
         loss = (ad.matmul(x, w).sum() + ad.attn_scores(q, k).sum()
-                + ad.attn_mix(mix, k).sum())
+                + ad.attn_mix(mix, k).sum() + ad.matmul_t(x, wt).sum())
     forward = len(einsums)
     tape.backward(loss)
     assert x.grad is None and k.grad is None
-    assert w.grad.any() and q.grad.any() and mix.grad.any()
+    assert w.grad.any() and q.grad.any() and mix.grad.any() and wt.grad.any()
     assert len(einsums) - forward == 2
 
 

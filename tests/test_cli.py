@@ -716,6 +716,44 @@ def test_checkpoint_with_retired_default_meta_loads(ranked_model, tmp_path):
     assert params_digest(back.all_params()) == params_digest(params)
 
 
+def test_checkpoint_with_one_head_meta_ranks_the_same(pipe, ranked_model, tmp_path):
+    # checkpoints written while head_count was a setting record head_count=1
+    from rankfuse.checkpoint import load_params, save_params
+
+    params, meta = load_params(ranked_model)
+    old = tmp_path / "old.ckpt"
+    save_params(old, params, {**meta, "head_count": "1"})
+    query, user_file, cands, _ = write_rank_inputs(tmp_path, pipe, n_candidates=8)
+    outs = []
+    for n, model in enumerate((ranked_model, old)):
+        outs.append(tmp_path / f"rk{n}")
+        assert main(["rank", "--checkpoint", str(model), "--index", str(pipe["index"]),
+                     "--encoder", str(pipe["encoder"]), "--query", query,
+                     "--user-file", str(user_file), "--candidates-file", str(cands),
+                     "--out-dir", str(outs[-1]), "--explain"]) == 0
+    for name in ("ranking.tsv", "explain.tsv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_checkpoint_with_more_heads_exits_1(pipe, ranked_model, tmp_path, capsys):
+    from rankfuse.checkpoint import load_params, save_params
+
+    params, meta = load_params(ranked_model)
+    bad = tmp_path / "heads.ckpt"
+    save_params(bad, params, {**meta, "head_count": "2"})
+    query, user_file, cands, _ = write_rank_inputs(tmp_path, pipe)
+    for argv in (
+        ["rank", "--checkpoint", str(bad), "--index", str(pipe["index"]), "--query", query,
+         "--user-file", str(user_file), "--candidates-file", str(cands)],
+        ["eval", "--checkpoint", f"old={bad}", "--test-file", str(pipe["test"]),
+         "--index", str(pipe["index"])],
+    ):
+        capsys.readouterr()
+        assert main(argv + ["--out-dir", str(tmp_path / argv[0])]) == 1, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: head_count=2"), err
+
+
 def test_train_rejects_non_finite_learning_rate(pipe, tmp_path, capsys):
     assert run_train(pipe, tmp_path / "flag", ["--lr-base", "nan"]) == 1
     assert "lr_base" in capsys.readouterr().err

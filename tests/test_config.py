@@ -2,7 +2,7 @@ import pytest
 
 from rankfuse import config as cf
 from rankfuse.cli import main
-from rankfuse.errors import ValidationError
+from rankfuse.errors import DatasetParseError, ValidationError
 
 
 def test_documented_defaults():
@@ -68,6 +68,38 @@ def test_type_coercion_errors(tmp_path):
             cf.parse_config_file(path)
 
 
+def test_config_file_errors_name_the_file_and_line(tmp_path):
+    path = tmp_path / "run.cfg"
+    for line, detail in (
+        ("learning_rate=0.1", "unknown key 'learning_rate'"),
+        ("alpha=2", "duplicate key 'alpha'"),
+        ("batch_size=big", "config key batch_size: expected integer, got 'big'"),
+        ("base_hidden=8,x", "config key base_hidden: expected comma-separated numbers"),
+        ("alpha", "expected key=value, got 'alpha'"),
+    ):
+        path.write_text(f"# run\nalpha=1\n\n{line}\n", encoding="utf-8")
+        with pytest.raises(DatasetParseError) as e:
+            cf.parse_config_file(path)
+        assert str(e.value) == f"{path}: line 4: {detail}"
+
+
+def test_old_resolved_config_exits_1_naming_the_file(tmp_path, capsys):
+    # a config.resolved written while head_count was a key holds it after
+    # incentive_hidden
+    lines = cf.format_resolved(cf.resolve_config()).splitlines()
+    at = next(n for n, line in enumerate(lines) if line.startswith("incentive_hidden=")) + 1
+    old = tmp_path / "config.resolved"
+    old.write_text("\n".join(lines[:at] + ["head_count=1"] + lines[at:]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    argv = ["eval", "--config", str(old), "--checkpoint", f"full={tmp_path / 'model.ckpt'}",
+            "--test-file", str(tmp_path / "test.tsv"), "--index", str(tmp_path / "index.tsv"),
+            "--out-dir", str(tmp_path / "o")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {old}: line {at + 1}: unknown key 'head_count'"], err
+    assert not (tmp_path / "o").exists()
+
+
 def test_precedence_file_then_overrides(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("alpha=6.0\ngamma=0.5\n", encoding="utf-8")
@@ -78,7 +110,7 @@ def test_precedence_file_then_overrides(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["history_limit=50", "use_wide=false", "base_uses_r_cur=true",
-                                  "momentum=0.0"])
+                                  "momentum=0.0", "head_count=1"])
 def test_retired_key_is_unknown(tmp_path, capsys, line):
     # each line as a config.resolved written before these keys were retired holds it
     path = tmp_path / "old.resolved"
@@ -148,7 +180,6 @@ ALTERNATES = {
     "encoder_epochs": 2, "finetune_lr_factor": 0.5, "finetune_epochs": 2,
     "field_dim": 8, "user_buckets": 512, "item_buckets": 2048, "category_buckets": 32,
     "token_buckets": 256, "base_hidden": (32,), "rsl_hidden": (16,), "incentive_hidden": (8,),
-    "head_count": 2,
     "batch_size": 512, "lr_stage1": 1e-3, "lr_base": 1e-3, "lr_rsl_finetune": 1e-4,
     "lr_prim": 1e-3, "alpha": 2.0, "beta": 0.5, "gamma": 0.1, "stage1_epochs": 1,
     "stage2_epochs": 1, "grouping": "query-group",

@@ -93,8 +93,6 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         md.ModelConfig(variant="fancy")
     with pytest.raises(ValidationError):
-        md.ModelConfig(d=10, head_count=4)
-    with pytest.raises(ValidationError):
         md.ModelConfig(field_dim=0)
 
 
@@ -138,7 +136,7 @@ def test_checkpoint_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("kw", [{}, {"variant": "no-prim"}, {"variant": "base-only"},
-                                {"variant": "no-prim", "head_count": 2}])
+                                {"variant": "no-prim", "rsl_hidden": (8, 4)}])
 def test_load_model_draws_no_random_values(tmp_path, monkeypatch, kw):
     params = md.build_model(tiny_config(**kw))
     path = str(tmp_path / "model.ckpt")
@@ -301,10 +299,10 @@ def test_extract_history_preferences():
     assert idx.cache_misses == misses_before
 
 
-def _attn(d, seed=4, head_count=1, identity=False):
+def _attn(d, seed=4, identity=False):
     rng = np.random.default_rng(seed)
     mk = lambda n: ad.Parameter(n, np.eye(d) if identity else rng.normal(0, 0.3, size=(d, d)), "prim")
-    return md.AttentionParams(mk("attn.w_q"), mk("attn.w_k"), mk("attn.w_v"), head_count)
+    return md.AttentionParams(mk("attn.w_q"), mk("attn.w_k"), mk("attn.w_v"))
 
 
 def _attend(attn, q_cur, qs, rs, pad=0):
@@ -385,18 +383,6 @@ def test_attention_permutation_equivariance():
     assert np.abs(base - shuffled).max() < 1e-12
 
 
-def test_attention_multi_head_shapes_and_bounds():
-    d = 8
-    attn = _attn(d, seed=14, head_count=2)
-    rng = np.random.default_rng(15)
-    q_cur = rng.normal(size=d)
-    qs = [rng.normal(size=d) for _ in range(3)]
-    rs = [rng.normal(size=d) for _ in range(3)]
-    out = _attend(attn, q_cur, qs, rs, pad=1)
-    assert out.shape == (d,)
-    assert np.all(np.isfinite(out))
-
-
 def test_attention_rejects_empty_history():
     # cold-start rows never reach attention (prim_tau_batch gives them tau=1)
     attn = _attn(4)
@@ -408,27 +394,24 @@ def test_attention_rejects_empty_history():
 
 def _projected_attention(attn, q_cur, hist_q, hist_r, mask):
     """Reference in the projected form: every slot's key x_q W_k and value
-    x_r W_v, a masked softmax per head, then the mix. Returns (weights
-    [b, h, L], expectation [b, d])."""
-    h = attn.head_count
+    x_r W_v, a masked softmax, then the mix. Returns (weights [b, 1, L],
+    expectation [b, d])."""
     b, L, d = hist_q.shape
-    e = d // h
-    q = (q_cur @ attn.w_q.data).reshape(b, h, e)
-    k = (hist_q.reshape(b * L, d) @ attn.w_k.data).reshape(b, L, h, e)
-    v = (hist_r.reshape(b * L, d) @ attn.w_v.data).reshape(b, L, h, e)
-    scores = np.where(mask[:, None, :], np.einsum("bhe,blhe->bhl", q, k) / np.sqrt(e), -np.inf)
+    q = q_cur @ attn.w_q.data
+    k = (hist_q.reshape(b * L, d) @ attn.w_k.data).reshape(b, L, d)
+    v = (hist_r.reshape(b * L, d) @ attn.w_v.data).reshape(b, L, d)
+    scores = np.where(mask, np.einsum("be,ble->bl", q, k) / np.sqrt(d), -np.inf)
     w = np.exp(scores - scores.max(axis=-1, keepdims=True))
     w /= w.sum(axis=-1, keepdims=True)
-    return w, np.einsum("bhl,blhe->bhe", w, v).reshape(b, d)
+    return w[:, None, :], np.einsum("bl,ble->be", w, v)
 
 
 @settings(max_examples=60, deadline=None)
-@given(head_count=st.sampled_from([1, 2, 4]), e=st.integers(1, 5), b=st.integers(1, 6),
-       width=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-def test_attention_matches_projected_form(head_count, e, b, width, seed):
+@given(d=st.integers(1, 12), b=st.integers(1, 6), width=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_attention_matches_projected_form(d, b, width, seed):
     rng = np.random.default_rng(seed)
-    d = head_count * e
-    attn = _attn(d, seed=seed, head_count=head_count)
+    attn = _attn(d, seed=seed)
     mask = np.arange(width)[None, :] < rng.integers(1, width + 1, size=b)[:, None]
     # padded slots hold noise, which must get no weight
     q_cur = rng.normal(size=(b, d))
@@ -442,9 +425,9 @@ def test_attention_matches_projected_form(head_count, e, b, width, seed):
     assert np.all(w[~np.broadcast_to(mask[:, None, :], w.shape)] == 0.0)
 
 
-def test_attention_finite_difference_two_heads_with_padding():
+def test_attention_finite_difference_with_padding():
     d, width = 6, 4
-    attn = _attn(d, seed=16, head_count=2)
+    attn = _attn(d, seed=16)
     rng = np.random.default_rng(17)
     lens = np.array([4, 2, 1])
     mask = np.arange(width)[None, :] < lens[:, None]

@@ -506,6 +506,22 @@ def test_only_full_stage2_gathers_history_tensors(monkeypatch):
         tr.train_stage2(cache, md.build_model(mcfg), tcfg)
 
 
+# tape ops of one stage-2 step on a fixed corpus and batch; counts repeat
+# exactly, so a change that adds ops to a step shows here, not only in timings
+TAPE_OPS = {"full": 54, "no-prim": 36, "base-only": 28}
+
+
+@pytest.mark.parametrize("variant", list(TAPE_OPS))
+def test_tape_ops_per_step(variant):
+    mcfg = small_model_config(variant=variant)
+    cache, _ = small_corpus_cache(n_impressions=300, seed=3, mcfg=mcfg)
+    batch = cache.batch(np.arange(64))
+    assert batch.hist_rows.size > 0
+    with ad.Tape() as tape:
+        tr.total_risk(batch, md.build_model(mcfg), tr.TrainConfig(batch_size=64))
+    assert len(tape) == TAPE_OPS[variant]
+
+
 def test_risk_report_line_round_trip():
     r = tr.RiskReport(stage="stage2", epoch=3, batch=17, ctr_risk=0.25, regularizer=0.5, total=0.4)
     fields = r.to_line().split("\t")
