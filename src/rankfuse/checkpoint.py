@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import zipfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +157,57 @@ def require_meta(path, meta: dict[str, str], keys, kind: str) -> None:
     if found is not None and found != kind:
         raise DatasetParseError(None, f"{path} is {found} checkpoint; expected {kind} checkpoint")
     raise DatasetParseError(None, f"{path}: {kind} checkpoint meta lacks {missing}")
+
+
+def format_value(value) -> str:
+    """A setting's text form, in `config.resolved` and in checkpoint meta:
+    `repr` for a float (it round-trips), comma-joined elements for a tuple,
+    `str` otherwise."""
+    if isinstance(value, tuple):
+        return ",".join(map(format_value, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def parse_value(raw: str, default):
+    """`raw` parsed to the type of `default`: int, float, str, or a
+    comma-separated tuple of the type of its elements. A ValueError says what
+    was expected."""
+    raw = raw.strip()
+    if isinstance(default, str):
+        return raw
+    if isinstance(default, tuple):
+        elem = type(default[0]) if default else int
+        try:
+            return tuple(elem(part) for part in raw.split(",")) if raw else ()
+        except ValueError:
+            raise ValueError("expected comma-separated numbers") from None
+    try:
+        return type(default)(raw)
+    except ValueError:
+        what = "integer" if isinstance(default, int) else "number"
+        raise ValueError(f"expected {what}, got {raw!r}") from None
+
+
+def config_meta(config) -> dict[str, str]:
+    """The checkpoint meta of a config dataclass: every field, as text."""
+    return {f.name: format_value(getattr(config, f.name)) for f in fields(config)}
+
+
+def config_from_meta(path, meta: dict[str, str], cls, kind: str):
+    """The `cls` config that checkpoint meta describes; a DatasetParseError
+    naming `path` when a field is missing, does not parse, or is refused by
+    `cls`. `kind` is as for require_meta."""
+    require_meta(path, meta, [f.name for f in fields(cls)], kind)
+    kw = {}
+    for f in fields(cls):
+        try:
+            kw[f.name] = parse_value(meta[f.name], f.default)
+        except ValueError as e:
+            raise DatasetParseError(None, f"{path}: meta {f.name}: {e}") from None
+    try:
+        return cls(**kw)
+    except ValidationError as e:
+        raise DatasetParseError(None, f"{path}: {e}") from None
 
 
 def _strings(xs) -> bool:

@@ -1,104 +1,56 @@
 """Run configuration: one flat key=value namespace for the whole pipeline.
 
-A config file is `key=value` lines with `#` comments. Defaults live here;
-a file overrides defaults, command-line flags override the file. Unknown
-keys are rejected loudly. Every command echoes its effective configuration
-into the output directory as `config.resolved`, which is itself a valid
-config file that reproduces the run.
+A config file is `key=value` lines with `#` comments. The keys, their
+defaults and their types are the fields of the config classes
+(`GeneratorConfig`, `EncoderConfig`, `ModelConfig`, `TrainConfig`; see
+CLASSES); a file overrides defaults, command-line flags override the file.
+Unknown keys are rejected loudly. Every command echoes its effective
+configuration into the output directory as `config.resolved`, which is itself
+a valid config file that reproduces the run.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from pathlib import Path
 
+from .checkpoint import format_value, parse_value
 from .data import GeneratorConfig, open_text
 from .encoder import EncoderConfig
 from .errors import DatasetParseError, ValidationError
 from .model import ModelConfig
 from .training import TrainConfig
 
-# Defaults, grouped: corpus, encoder, model, training. Types drive coercion.
-DEFAULTS: dict = {
-    "seed": 0,
-    # corpus
-    "n_users": 200,
-    "n_items": 1000,
-    "n_queries": 300,
-    "n_impressions": 100000,
-    "n_categories": 12,
-    "n_descriptors": 120,
-    "w_quality": 3.0,
-    "w_relevance": 3.0,
-    "bias": -1.0,
-    "sensitivity_a": 2.0,
-    "sensitivity_b": 2.0,
-    "rsl_thresholds": (0.25, 0.5, 0.75),
-    # encoder
-    "vocab_size": 4096,
-    "d_raw": 64,
-    "d": 32,
-    "encoder_lr": 0.5,
-    "encoder_batch_size": 256,
-    "encoder_epochs": 5,
-    "finetune_lr_factor": 0.1,
-    "finetune_epochs": 5,
-    # model
-    "field_dim": 16,
-    "user_buckets": 1024,
-    "item_buckets": 4096,
-    "category_buckets": 64,
-    "token_buckets": 512,
-    "base_hidden": (64, 32),
-    "rsl_hidden": (32,),
-    "incentive_hidden": (16,),
-    # training
-    "batch_size": 4096,
-    "lr_stage1": 1e-4,
-    "lr_base": 1e-4,
-    "lr_rsl_finetune": 1e-5,
-    "lr_prim": 1e-4,
-    "alpha": 4.0,
-    "beta": 1.0,
-    "gamma": 0.3,
-    "stage1_epochs": 5,
-    "stage2_epochs": 10,
-    "grouping": "batch",
+# The config classes, in the order of their keys in `config.resolved`, each
+# with the fields that take a key of another name. A field of one name in two
+# classes (`seed`, `d`) is one key. `ModelConfig.variant` and
+# `TrainConfig.no_two_stage` come from command flags, not keys.
+CLASSES = {
+    GeneratorConfig: {},
+    EncoderConfig: {"lr": "encoder_lr", "batch_size": "encoder_batch_size", "epochs": "encoder_epochs"},
+    ModelConfig: {"variant": None},
+    TrainConfig: {"no_two_stage": None},
 }
 
 
-def _coerce(key: str, raw: str, line_no: int):
-    """Parse a raw string of config line `line_no` to the type of the key's
-    default."""
-    default = DEFAULTS[key]
-    raw = raw.strip()
-    if isinstance(default, int):
-        try:
-            return int(raw)
-        except ValueError:
-            raise DatasetParseError(line_no, f"config key {key}: expected integer, got {raw!r}") from None
-    if isinstance(default, float):
-        try:
-            return float(raw)
-        except ValueError:
-            raise DatasetParseError(line_no, f"config key {key}: expected number, got {raw!r}") from None
-    if isinstance(default, tuple):
-        if raw == "":
-            return ()
-        elem = float if default and isinstance(default[0], float) else int
-        try:
-            return tuple(elem(part) for part in raw.split(","))
-        except ValueError:
-            raise DatasetParseError(line_no, f"config key {key}: expected comma-separated numbers") from None
-    return raw
+def _schema() -> tuple[dict, dict]:
+    """(class -> {field: key}, key -> default), from the class fields."""
+    keys, defaults = {}, {}
+    for cls, renamed in CLASSES.items():
+        keys[cls] = {}
+        for f in fields(cls):
+            key = renamed.get(f.name, f.name)
+            if key is None:
+                continue
+            if defaults.setdefault(key, f.default) != f.default:
+                raise TypeError(f"config key {key}: {cls.__name__} default {f.default!r} "
+                                f"differs from {defaults[key]!r}")
+            keys[cls][f.name] = key
+    return keys, defaults
 
 
-def _fmt_value(value) -> str:
-    if isinstance(value, tuple):
-        return ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+_KEYS, DEFAULTS = _schema()
 
 
 def parse_config_file(path) -> dict:
@@ -118,7 +70,10 @@ def parse_config_file(path) -> dict:
                 raise DatasetParseError(line_no, f"unknown key {key!r}")
             if key in out:
                 raise DatasetParseError(line_no, f"duplicate key {key!r}")
-            out[key] = _coerce(key, value, line_no)
+            try:
+                out[key] = parse_value(value, DEFAULTS[key])
+            except ValueError as e:
+                raise DatasetParseError(line_no, f"config key {key}: {e}") from None
     return out
 
 
@@ -140,7 +95,7 @@ def resolve_config(file_path=None, overrides: dict | None = None) -> dict:
 
 
 def format_resolved(cfg: dict) -> str:
-    lines = [f"{key}={_fmt_value(cfg[key])}" for key in DEFAULTS]
+    lines = [f"{key}={format_value(cfg[key])}" for key in DEFAULTS]
     return "\n".join(lines) + "\n"
 
 
@@ -154,67 +109,21 @@ def write_resolved(cfg: dict, out_dir) -> Path:
 # builders for the module-level config objects
 
 
+def _build(cls, cfg: dict, **flags):
+    return cls(**{name: cfg[key] for name, key in _KEYS[cls].items()}, **flags)
+
+
 def to_generator_config(cfg: dict) -> GeneratorConfig:
-    return GeneratorConfig(
-        seed=cfg["seed"],
-        n_users=cfg["n_users"],
-        n_items=cfg["n_items"],
-        n_queries=cfg["n_queries"],
-        n_impressions=cfg["n_impressions"],
-        n_categories=cfg["n_categories"],
-        n_descriptors=cfg["n_descriptors"],
-        w_quality=cfg["w_quality"],
-        w_relevance=cfg["w_relevance"],
-        bias=cfg["bias"],
-        rsl_thresholds=tuple(cfg["rsl_thresholds"]),
-        sensitivity_a=cfg["sensitivity_a"],
-        sensitivity_b=cfg["sensitivity_b"],
-    )
+    return _build(GeneratorConfig, cfg)
 
 
 def to_encoder_config(cfg: dict) -> EncoderConfig:
-    return EncoderConfig(
-        vocab_size=cfg["vocab_size"],
-        d_raw=cfg["d_raw"],
-        d=cfg["d"],
-        seed=cfg["seed"],
-        lr=cfg["encoder_lr"],
-        batch_size=cfg["encoder_batch_size"],
-        epochs=cfg["encoder_epochs"],
-        finetune_lr_factor=cfg["finetune_lr_factor"],
-        finetune_epochs=cfg["finetune_epochs"],
-    )
+    return _build(EncoderConfig, cfg)
 
 
 def to_model_config(cfg: dict, variant: str = "full") -> ModelConfig:
-    return ModelConfig(
-        variant=variant,
-        d=cfg["d"],
-        field_dim=cfg["field_dim"],
-        user_buckets=cfg["user_buckets"],
-        item_buckets=cfg["item_buckets"],
-        category_buckets=cfg["category_buckets"],
-        token_buckets=cfg["token_buckets"],
-        base_hidden=tuple(cfg["base_hidden"]),
-        rsl_hidden=tuple(cfg["rsl_hidden"]),
-        incentive_hidden=tuple(cfg["incentive_hidden"]),
-        seed=cfg["seed"],
-    )
+    return _build(ModelConfig, cfg, variant=variant)
 
 
 def to_train_config(cfg: dict, gamma: float | None = None, no_two_stage: bool = False) -> TrainConfig:
-    return TrainConfig(
-        batch_size=cfg["batch_size"],
-        lr_stage1=cfg["lr_stage1"],
-        lr_base=cfg["lr_base"],
-        lr_rsl_finetune=cfg["lr_rsl_finetune"],
-        lr_prim=cfg["lr_prim"],
-        alpha=cfg["alpha"],
-        beta=cfg["beta"],
-        gamma=cfg["gamma"] if gamma is None else gamma,
-        stage1_epochs=cfg["stage1_epochs"],
-        stage2_epochs=cfg["stage2_epochs"],
-        seed=cfg["seed"],
-        grouping=cfg["grouping"],
-        no_two_stage=no_two_stage,
-    )
+    return _build(TrainConfig, cfg if gamma is None else {**cfg, "gamma": gamma}, no_two_stage=no_two_stage)

@@ -68,15 +68,15 @@ class GeneratorConfig:
     n_users: int = 200
     n_items: int = 1000
     n_queries: int = 300
-    n_impressions: int = 20000
+    n_impressions: int = 100000
     n_categories: int = 12
     n_descriptors: int = 120
     w_quality: float = 3.0
     w_relevance: float = 3.0
     bias: float = -1.0
-    rsl_thresholds: tuple[float, float, float] = (0.25, 0.5, 0.75)
     sensitivity_a: float = 2.0
     sensitivity_b: float = 2.0
+    rsl_thresholds: tuple[float, float, float] = (0.25, 0.5, 0.75)
 
     def __post_init__(self):
         for name in ("n_users", "n_items", "n_queries", "n_impressions", "n_categories", "n_descriptors"):

@@ -358,29 +358,21 @@ def build_index(
     return index
 
 
-_ENCODER_META_INT = ("vocab_size", "d_raw", "d", "seed", "batch_size", "epochs", "finetune_epochs")
-_ENCODER_META_FLOAT = ("lr", "finetune_lr_factor")
-
-
 def save_encoder(params: EncoderParams, path) -> None:
     """Persist encoder weights plus enough config to rebuild them."""
-    from .checkpoint import save_params
+    from .checkpoint import config_meta, save_params
 
-    meta = {k: str(getattr(params.config, k)) for k in _ENCODER_META_INT}
-    meta.update({k: repr(getattr(params.config, k)) for k in _ENCODER_META_FLOAT})
+    meta = config_meta(params.config)
     meta["has_rsl_head"] = "1" if params.rsl_head is not None else "0"
     save_params(path, params.params(), meta)
 
 
 def load_encoder(path) -> EncoderParams:
     """Rebuild an EncoderParams from a checkpoint; shapes are re-validated."""
-    from .checkpoint import fill_params, load_params, require_meta
+    from .checkpoint import config_from_meta, fill_params, load_params
 
     loaded, meta = load_params(path, rerun="rankfuse encoder pretrain/finetune")
-    require_meta(path, meta, _ENCODER_META_INT + _ENCODER_META_FLOAT, "an encoder")
-    kw: dict = {k: int(meta[k]) for k in _ENCODER_META_INT}
-    kw.update({k: float(meta[k]) for k in _ENCODER_META_FLOAT})
-    params = init_encoder(EncoderConfig(**kw), draw=False)
+    params = init_encoder(config_from_meta(path, meta, EncoderConfig, "an encoder"), draw=False)
     if meta.get("has_rsl_head") == "1":
         _add_rsl_head(params, draw=False)
     fill_params(path, params.params(), loaded)

@@ -168,42 +168,10 @@ def build_model(config: ModelConfig, draw: bool = True) -> ModelParams:
     return params
 
 
-# checkpoint meta <-> config
-
-_META_INT = ("d", "field_dim", "user_buckets", "item_buckets", "category_buckets", "token_buckets", "seed")
-_META_TUPLE = ("base_hidden", "rsl_hidden", "incentive_hidden")
-
-
-def config_to_meta(config: ModelConfig) -> dict[str, str]:
-    meta = {"variant": config.variant}
-    for k in _META_INT:
-        meta[k] = str(getattr(config, k))
-    for k in _META_TUPLE:
-        meta[k] = ",".join(str(v) for v in getattr(config, k))
-    return meta
-
-
-def config_from_meta(meta: dict[str, str], path="checkpoint") -> ModelConfig:
-    """The model config a checkpoint's meta describes; DatasetParseError
-    naming `path` when the meta is not a model's."""
-    from .checkpoint import require_meta
-
-    require_meta(path, meta, ("variant",) + _META_INT + _META_TUPLE, "a model")
-    # a multi-head model's d x d weights would load and score as one head
-    if meta.get("head_count", "1") != "1":
-        raise DatasetParseError(None, f"{path}: head_count={meta['head_count']}; only one attention head is supported")
-    kw: dict = {"variant": meta["variant"]}
-    for k in _META_INT:
-        kw[k] = int(meta[k])
-    for k in _META_TUPLE:
-        kw[k] = tuple(int(v) for v in meta[k].split(",")) if meta[k] else ()
-    return ModelConfig(**kw)
-
-
 def save_model(params: ModelParams, path: str, extra_meta: dict[str, str] | None = None) -> None:
-    from .checkpoint import save_params
+    from .checkpoint import config_meta, save_params
 
-    meta = config_to_meta(params.config)
+    meta = config_meta(params.config)
     if extra_meta:
         meta.update(extra_meta)
     save_params(path, params.all_params(), meta)
@@ -211,10 +179,13 @@ def save_model(params: ModelParams, path: str, extra_meta: dict[str, str] | None
 
 def load_model(path: str) -> tuple[ModelParams, dict[str, str]]:
     """Rebuild a ModelParams from a checkpoint; shapes are re-validated."""
-    from .checkpoint import fill_params, load_params
+    from .checkpoint import config_from_meta, fill_params, load_params
 
     loaded, meta = load_params(path, rerun="rankfuse train")
-    params = build_model(config_from_meta(meta, path), draw=False)
+    # a multi-head model's d x d weights would load and score as one head
+    if meta.get("head_count", "1") != "1":
+        raise DatasetParseError(None, f"{path}: head_count={meta['head_count']}; only one attention head is supported")
+    params = build_model(config_from_meta(path, meta, ModelConfig, "a model"), draw=False)
     fill_params(path, params.all_params(), loaded)
     return params, meta
 

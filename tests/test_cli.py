@@ -706,6 +706,38 @@ def test_checkpoint_of_a_retired_model_shape_exits_1(pipe, ranked_model, tmp_pat
             assert len(err) == 1 and err[0].startswith(f"error: {bad}: "), err
 
 
+def test_checkpoint_meta_that_does_not_parse_exits_1(pipe, ranked_model, tmp_path, capsys):
+    from rankfuse.checkpoint import load_params, save_params
+
+    query, user_file, cands, _ = write_rank_inputs(tmp_path, pipe)
+
+    def rank(ckpt):
+        return ["rank", "--index", str(pipe["index"]), "--query", query, "--user-file",
+                str(user_file), "--candidates-file", str(cands), "--checkpoint", str(ckpt)]
+
+    def eval_(ckpt):
+        return ["eval", "--test-file", str(pipe["test"]), "--index", str(pipe["index"]),
+                "--checkpoint", f"old={ckpt}"]
+
+    def build_index(ckpt):
+        return ["encoder", "build-index", "--dataset-file", str(pipe["test"]), "--checkpoint",
+                str(ckpt)]
+
+    cases = [(ranked_model, key, raw, (rank, eval_))
+             for key, raw in (("d", "x"), ("base_hidden", "4,x"), ("seed", "1.5"))]
+    cases += [(pipe["encoder"], key, raw, (build_index,)) for key, raw in (("d", "x"), ("lr", "fast"))]
+    for n, (good, key, raw, commands) in enumerate(cases):
+        params, meta = load_params(good)
+        bad = tmp_path / f"bad{n}.ckpt"
+        save_params(bad, params, {**meta, key: raw})
+        for command in commands:
+            capsys.readouterr()
+            argv = command(bad) + ["--out-dir", str(tmp_path / f"o{n}{command.__name__}")]
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: {bad}: meta {key}: "), err
+
+
 def test_checkpoint_with_retired_default_meta_loads(ranked_model, tmp_path):
     from rankfuse.checkpoint import load_params, params_digest, save_params
 

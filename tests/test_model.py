@@ -127,10 +127,10 @@ def test_checkpoint_roundtrip(tmp_path):
     assert params_digest(back.all_params()) == params_digest(params.all_params())
 
     # a checkpoint missing parameters is rejected
-    from rankfuse.checkpoint import save_params
+    from rankfuse.checkpoint import config_meta, save_params
 
     subset = dict(list(params.all_params().items())[:3])
-    save_params(str(tmp_path / "bad.ckpt"), subset, md.config_to_meta(params.config))
+    save_params(str(tmp_path / "bad.ckpt"), subset, config_meta(params.config))
     with pytest.raises(ValidationError):
         md.load_model(str(tmp_path / "bad.ckpt"))
 
