@@ -167,10 +167,11 @@ def cmd_encoder(args) -> int:
         ckpt_in = run.input(args.checkpoint, "encoder checkpoint")
         train_file = run.input(args.train_file, "train split")
         params = load_encoder(ckpt_in)
-        # architecture comes from the checkpoint; rates come from the config
-        arch = {k: getattr(params.config, k) for k in ("vocab_size", "d_raw", "d")}
+        # architecture comes from the checkpoint, and config.resolved records
+        # it; rates come from the config
+        run.cfg.update((k, getattr(params.config, k)) for k in ("vocab_size", "d_raw", "d"))
         labeled = dt.read_dataset(train_file).labeled_pairs("rsl")
-        params, trace = finetune_encoder(params, labeled, cf.to_encoder_config({**run.cfg, **arch}))
+        params, trace = finetune_encoder(params, labeled, cf.to_encoder_config(run.cfg))
     ckpt = run.output("encoder.ckpt")
     save_encoder(params, ckpt)
     run.lines("encoder.log", [f"{e}\t{loss:.10f}" for e, loss in enumerate(trace)])

@@ -15,7 +15,7 @@ from rankfuse import evaluation as ev
 from rankfuse import model as md
 from rankfuse import training as tr
 from rankfuse.cli import build_parser, main
-from rankfuse.encoder import PAIR_KEY_SEP, load_index
+from rankfuse.encoder import PAIR_KEY_SEP, load_encoder, load_index
 from rankfuse.evaluation import read_metrics_file
 
 
@@ -169,6 +169,17 @@ def test_stage_leaves_numpy_ma_unimported(pipe, tmp_path, stage):
 
 # ---------------------------------------------------------------------------
 # encoder
+
+
+def test_finetune_records_the_checkpoint_shape(pipe):
+    # pretrain ran with --d 16 --d-raw 32; finetune takes both from its checkpoint
+    out = pipe["root"] / "enc-ft"
+    resolved = cf.parse_config_file(out / "config.resolved")
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["config"]
+    used = load_encoder(pipe["encoder"]).config
+    assert (used.d, used.d_raw) == (16, 32)
+    for key in ("vocab_size", "d_raw", "d"):
+        assert resolved[key] == manifest[key] == getattr(used, key), key
 
 
 def test_encoder_missing_checkpoint_is_dependency_error(pipe, tmp_path):
