@@ -675,7 +675,7 @@ class DenseLayer:
     b: Parameter
     activation: str = "linear"
 
-    _ACTIVATIONS = ("linear", "relu", "sigmoid")
+    _ACTIVATIONS = ("linear", "relu")
 
     def __post_init__(self):
         if self.activation not in self._ACTIVATIONS:
@@ -699,8 +699,6 @@ def mlp_apply(layers: Sequence[DenseLayer], x) -> Tensor:
         out = affine(out, layer.W, layer.b)
         if layer.activation == "relu":
             out = relu(out)
-        elif layer.activation == "sigmoid":
-            out = sigmoid(out)
     return out
 
 

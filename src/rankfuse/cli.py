@@ -306,14 +306,9 @@ def cmd_sweep(args) -> int:
             "gauc": report.gauc,
             "relevance_score": report.relevance_score,
         }
-        point_path = run.lines(f"metrics-{i}.txt", ev.metric_lines([row]))
-        # read back through the machine-readable format; .17g round-trips floats
-        parsed = ev.read_metrics_file(point_path)
-        series.append(
-            f"{value!r}\t{parsed[f'run{i}.auc']:.17g}"
-            f"\t{parsed[f'run{i}.gauc']:.17g}"
-            f"\t{parsed[f'run{i}.relevance_score']:.17g}"
-        )
+        run.lines(f"metrics-{i}.txt", ev.metric_lines([row]))
+        series.append(f"{value!r}\t{report.auc:.17g}\t{report.gauc:.17g}"
+                      f"\t{report.relevance_score:.17g}")
         print(f"sweep {args.param}={value}: auc {report.auc:.6f} gauc {report.gauc:.6f}")
 
     run.lines(f"sweep-{args.param}.tsv", series)

@@ -126,4 +126,5 @@ def to_model_config(cfg: dict, variant: str = "full") -> ModelConfig:
 
 
 def to_train_config(cfg: dict, gamma: float | None = None, no_two_stage: bool = False) -> TrainConfig:
-    return _build(TrainConfig, cfg if gamma is None else {**cfg, "gamma": gamma}, no_two_stage=no_two_stage)
+    cfg = cfg if gamma is None else {**cfg, "gamma": gamma}
+    return _build(TrainConfig, cfg, no_two_stage=no_two_stage)

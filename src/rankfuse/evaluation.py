@@ -66,14 +66,14 @@ def samples_to_impressions(samples, scores) -> list[ScoredImpression]:
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks, ties sharing the mean rank of their block."""
     order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    # a block of equal scores spans sorted positions lo..hi
+    first = np.ones(scores.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    lo = np.flatnonzero(first)
+    hi = np.append(lo[1:], scores.size) - 1
     ranks = np.empty(scores.size, dtype=np.float64)
-    lo = 0
-    while lo < scores.size:
-        hi = lo
-        while hi + 1 < scores.size and scores[order[hi + 1]] == scores[order[lo]]:
-            hi += 1
-        ranks[order[lo : hi + 1]] = (lo + hi) / 2.0 + 1.0
-        lo = hi + 1
+    ranks[order] = ((lo + hi) / 2.0 + 1.0)[np.cumsum(first) - 1]
     return ranks
 
 

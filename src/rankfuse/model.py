@@ -121,10 +121,10 @@ class ModelParams:
         return groups
 
 
-def _mlp(rng, dims: tuple[int, ...], prefix: str, group: str, out_activation="linear"):
+def _mlp(rng, dims: tuple[int, ...], prefix: str, group: str):
     layers = []
     for i, (fi, fo) in enumerate(zip(dims[:-1], dims[1:])):
-        act = "relu" if i < len(dims) - 2 else out_activation
+        act = "relu" if i < len(dims) - 2 else "linear"
         layers.append(ad.dense_layer(rng, fi, fo, act, f"{prefix}.{i}", group))
     return layers
 

@@ -191,12 +191,13 @@ def test_mlp_hand_value():
 
 
 def test_unknown_activation_rejected():
-    with pytest.raises(ValidationError):
-        ad.DenseLayer(
-            ad.Parameter("w", np.zeros((2, 2)), "base"),
-            ad.Parameter("b", np.zeros(2), "base"),
-            "tanh",
-        )
+    for activation in ("tanh", "sigmoid"):
+        with pytest.raises(ValidationError):
+            ad.DenseLayer(
+                ad.Parameter("w", np.zeros((2, 2)), "base"),
+                ad.Parameter("b", np.zeros(2), "base"),
+                activation,
+            )
 
 
 def test_bad_lr_group_rejected():
