@@ -12,6 +12,10 @@ Arrays hold raw float64 bits, so save followed by load is value-exact. The
 archive is written to an open handle (given a bare path numpy would append
 `.npz`) with members in sorted order; zip entries carry numpy's fixed 1980
 timestamp, so equal inputs give equal bytes. Loading never unpickles.
+
+A checkpoint's meta holds its config dataclass, one string per field, in the
+text form `config.resolved` uses too: `format_value` and `parse_value` are
+the one codec of a setting's value.
 """
 
 from __future__ import annotations
