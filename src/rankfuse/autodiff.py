@@ -31,6 +31,7 @@ NORM_FLOOR = 1e-9
 LR_GROUPS = ("stage1", "base", "rsl-finetune", "prim")
 
 _TAPES: list["Tape"] = []
+_NO_ROWS = np.zeros(0, dtype=np.int64)
 
 
 def _active_tape():
@@ -101,9 +102,18 @@ class Parameter(Tensor):
 
     The gradient buffer always exists and accumulates across backward passes
     until ``zero_grad``; the optimizer relies on that.
+
+    ``rows`` says which rows of the buffer may be nonzero. None means any
+    row: a fresh parameter, or one that a dense backward reached since the
+    last ``zero_grad``. Otherwise it holds the sorted distinct rows that row
+    scatters (the backwards of ``embedding``, ``embedding_bag_mean`` and
+    ``select_rows``) wrote since then. ``zero_grad`` and ``sgd_step`` touch
+    only those rows, so after ``zero_grad`` gradients are written only
+    through tape ops: a hand-written ``grad`` is seen only on a fresh
+    parameter.
     """
 
-    __slots__ = ("name", "group")
+    __slots__ = ("name", "group", "rows")
 
     def __init__(self, name: str, data, group: str):
         if group not in LR_GROUPS:
@@ -116,9 +126,14 @@ class Parameter(Tensor):
         self.name = name
         self.group = group
         self.grad = np.zeros_like(self.data)
+        self.rows: np.ndarray | None = None
 
     def zero_grad(self):
-        self.grad[...] = 0.0
+        if self.rows is None:
+            self.grad[...] = 0.0
+        else:
+            self.grad[self.rows] = 0.0
+        self.rows = _NO_ROWS
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape}, group={self.group!r})"
@@ -173,11 +188,17 @@ def zero_grad(params: Iterable[Parameter]):
 
 
 def sgd_step(params: Iterable[Parameter], rates: dict[str, float]) -> None:
-    """Plain SGD per learning-rate group; groups without a rate stay frozen."""
+    """Plain SGD per learning-rate group; groups without a rate stay frozen.
+    Only the rows whose gradient may be nonzero move: any other row would
+    get x - lr*0, which is x."""
     for p in params:
         lr = rates.get(p.group)
-        if lr is not None:
+        if lr is None:
+            continue
+        if p.rows is None:
             p.data -= lr * p.grad
+        else:
+            p.data[p.rows] -= lr * p.grad[p.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +228,29 @@ def _accum(t: Tensor, g: np.ndarray):
         t.grad = np.array(np.broadcast_to(g, t.data.shape), dtype=np.float64)
     else:
         t.grad += g
+    if isinstance(t, Parameter):
+        t.rows = None
 
 
 def _grad_buf(t: Tensor) -> np.ndarray:
-    # direct-write variant of _accum for scatter-style backwards
+    # direct-write variant of _accum, for a backward that may write any entry
+    if isinstance(t, Parameter):
+        t.rows = None
+    return _row_buf(t)
+
+
+def _row_buf(t: Tensor) -> np.ndarray:
+    # the buffer a row scatter writes into; the scatter reports its rows
+    # through _wrote_rows
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     return t.grad
+
+
+def _wrote_rows(t: Tensor, rows: np.ndarray) -> None:
+    # widen a parameter's record (Parameter.rows) by the distinct rows just written
+    if isinstance(t, Parameter) and t.rows is not None:
+        t.rows = rows if t.rows.size == 0 else kernels.distinct(np.concatenate((t.rows, rows)))[0]
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -525,8 +562,8 @@ def embedding(table, ids) -> Tensor:
     out_data = table.data[ids]
 
     def fn(g):
-        buf = _grad_buf(table)
-        kernels.scatter_add_rows(buf, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
+        _wrote_rows(table, kernels.scatter_add_rows(
+            _row_buf(table), ids.reshape(-1), g.reshape(-1, table.data.shape[1])))
 
     return _make(out_data, (table,), fn)
 
@@ -547,7 +584,7 @@ def embedding_bag_mean(table, flat_ids, offsets) -> Tensor:
     out_data = kernels.segment_mean(table.data, flat_ids, offsets)
 
     def fn(g):
-        kernels.segment_mean_grad(_grad_buf(table), flat_ids, offsets, g)
+        _wrote_rows(table, kernels.segment_mean_grad(_row_buf(table), flat_ids, offsets, g))
 
     return _make(out_data, (table,), fn)
 
@@ -560,7 +597,7 @@ def select_rows(x, idx) -> Tensor:
     out_data = x.data[idx]
 
     def fn(g):
-        kernels.scatter_add_rows(_grad_buf(x), idx, g)
+        _wrote_rows(x, kernels.scatter_add_rows(_row_buf(x), idx, g))
 
     return _make(out_data, (x,), fn)
 

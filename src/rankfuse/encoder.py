@@ -75,6 +75,12 @@ class EncoderConfig:
         for name in ("lr", "finetune_lr_factor"):
             if not (0 <= getattr(self, name) < math.inf):
                 raise ValidationError(f"{name} must be >= 0 and finite")
+        # named by their config keys, which is what a user sets
+        if self.batch_size < 1:
+            raise ValidationError("encoder_batch_size must be at least 1")
+        for name, key in (("epochs", "encoder_epochs"), ("finetune_epochs", "finetune_epochs")):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{key} must be nonnegative")
 
 
 @dataclass

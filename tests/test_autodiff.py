@@ -242,6 +242,74 @@ def test_embedding_backward_accumulates_duplicates():
 
 
 # ---------------------------------------------------------------------------
+# the rows a gradient buffer records (Parameter.rows)
+
+
+def _scatter_both(table, ids, flat, offsets, w_rows, w_bags):
+    # one backward through both row scatters of one table
+    with ad.Tape() as tape:
+        loss = ((ad.embedding(table, ids) * w_rows).sum()
+                + (ad.embedding_bag_mean(table, flat, offsets) * w_bags).sum())
+    tape.backward(loss)
+
+
+def test_row_scatters_record_the_rows_they_write():
+    rng = np.random.default_rng(31)
+    table = _param(rng, (40, 3), "table")
+    offsets = np.array([0, 4, 4, 9])
+    for _ in range(4):
+        table.zero_grad()
+        assert not table.grad.any() and table.rows.size == 0
+        ids, flat = rng.integers(0, 40, size=7), rng.integers(0, 40, size=9)
+        _scatter_both(table, ids, flat, offsets, rng.normal(size=(7, 3)), rng.normal(size=(3, 3)))
+        # the union of the two scatters' rows, sorted and distinct
+        assert np.array_equal(table.rows, np.union1d(ids, flat))
+        assert np.isin(np.flatnonzero(table.grad.any(axis=1)), table.rows).all()
+
+
+def test_sparse_step_has_the_bits_of_a_dense_step():
+    rng = np.random.default_rng(32)
+    data = rng.normal(size=(30, 4))
+    data[::3] = -0.0  # x - lr*0 must keep the sign of a zero
+    sparse, dense = ad.Parameter("s", data, "base"), ad.Parameter("d", data, "base")
+    for _ in range(3):
+        ids, flat = rng.integers(0, 30, size=5), rng.integers(0, 30, size=6)
+        w_rows, w_bags = rng.normal(size=(5, 4)), rng.normal(size=(2, 4))
+        for p in (sparse, dense):
+            p.zero_grad()
+            _scatter_both(p, ids, flat, np.array([0, 2, 6]), w_rows, w_bags)
+        dense.rows = None
+        ad.sgd_step([sparse, dense], {"base": 0.3})
+        assert sparse.rows.size < 30
+        assert sparse.data.tobytes() == dense.data.tobytes()
+
+
+def test_a_dense_write_makes_the_whole_buffer_step():
+    rng = np.random.default_rng(33)
+    for dense_first in (False, True):
+        table = _param(rng, (6, 2), "table")
+        table.zero_grad()
+        with ad.Tape() as tape:
+            terms = [ad.embedding(table, [1, 1]).sum(), (table * rng.normal(size=(6, 2))).sum()]
+            loss = terms[1] + terms[0] if dense_first else terms[0] + terms[1]
+        tape.backward(loss)
+        assert table.rows is None
+        want = table.data - 0.1 * table.grad
+        ad.sgd_step([table], {"base": 0.1})
+        assert table.data.tobytes() == want.tobytes()
+        table.zero_grad()
+        assert not table.grad.any()
+
+
+def test_a_fresh_parameter_steps_on_a_hand_written_grad():
+    p = ad.Parameter("p", np.ones((4, 2)), "base")
+    assert p.rows is None
+    p.grad[3] = 2.0
+    ad.sgd_step([p], {"base": 0.5})
+    assert (p.data[3] == 0.0).all() and (p.data[:3] == 1.0).all()
+
+
+# ---------------------------------------------------------------------------
 # per-primitive gradient checks against central differences
 
 

@@ -889,6 +889,30 @@ def test_unreadable_config_exits_1(tmp_path, capsys, kind, reason):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command,key,bad,edge", [
+    ("pretrain", "encoder_batch_size", "0", "1"),
+    ("pretrain", "encoder_epochs", "-1", "0"),
+    ("finetune", "encoder_batch_size", "0", "1"),
+    ("finetune", "finetune_epochs", "-2", "0"),
+])
+def test_encoder_schedule_out_of_range_exits_1_naming_the_key(
+    pipe, tmp_path, capsys, command, key, bad, edge
+):
+    # no epochs, so that the edge runs are quick; the last of a repeated flag wins
+    argv = ["encoder", command, "--train-file", str(pipe["train"]), "--d", "16", "--d-raw", "32",
+            "--encoder-epochs", "0"]
+    if command == "finetune":
+        argv = ["encoder", command, "--train-file", str(pipe["train"]),
+                "--checkpoint", str(pipe["encoder"]), "--finetune-epochs", "0"]
+    flag = "--" + key.replace("_", "-")
+    capsys.readouterr()
+    assert main(argv + [flag, bad, "--out-dir", str(tmp_path / "bad")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {key} "), err
+    # the value on the edge of the domain is accepted
+    assert main(argv + [flag, edge, "--out-dir", str(tmp_path / "edge")]) == 0
+
+
 # ---------------------------------------------------------------------------
 # eval checkpoint names
 

@@ -1,4 +1,4 @@
-"""The bincount kernels against sequential oracles, bit for bit.
+"""The kernels against sequential oracles, bit for bit.
 
 `np.add.at` is unbuffered and adds in index order, so the oracles below are
 the plain `out[ids[i]] += rows[i]` loop the kernels must reproduce exactly
@@ -70,31 +70,44 @@ def check_against_oracles(table, ids, offsets, rng):
 @st.composite
 def bags(draw):
     """Bags over a table of 1..40 rows: few rows make heavy duplicates; bags
-    and the whole id list may be empty."""
+    and the whole id list may be empty, empty bags may lead or trail, one bag
+    may be far longer than the rest, and the table may hold signed zeros."""
     rows = draw(st.integers(1, 40))
-    d = draw(st.sampled_from((1, 2, 7)))
+    # 40 columns take two full bincount blocks and a partial one
+    d = draw(st.sampled_from((1, 2, 7, 40)))
     lengths = draw(st.lists(st.integers(0, 12), max_size=10))
+    if draw(st.booleans()):
+        lengths.insert(draw(st.integers(0, len(lengths))), draw(st.integers(40, 120)))
+    lengths = [0] * draw(st.integers(0, 2)) + lengths + [0] * draw(st.integers(0, 2))
+    if draw(st.integers(0, 7)) == 0:
+        lengths = [0] * len(lengths)
     n = sum(lengths)
     ids = draw(st.lists(st.integers(0, rows - 1), min_size=n, max_size=n))
     offsets = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)]).astype(np.int64)
-    return rows, d, np.array(ids, dtype=np.int64), offsets, draw(st.integers(0, 2**32 - 1))
+    zero_share = draw(st.sampled_from((0.0, 0.5, 1.0)))
+    return rows, d, np.array(ids, dtype=np.int64), offsets, zero_share, draw(st.integers(0, 2**32 - 1))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(bags())
 def test_kernels_match_oracles_bit_for_bit(bag):
-    rows, d, ids, offsets, seed = bag
+    rows, d, ids, offsets, zero_share, seed = bag
     rng = np.random.default_rng(seed)
-    check_against_oracles(rng.normal(size=(rows, d)), ids, offsets, rng)
+    table = rng.normal(size=(rows, d))
+    zeros = rng.random(table.shape) < zero_share
+    table[zeros] = np.where(rng.random(table.shape) < 0.5, 0.0, -0.0)[zeros]
+    check_against_oracles(table, ids, offsets, rng)
 
 
 def test_kernels_match_oracles_on_batch_shapes():
-    # encoder-like: 512 bags of up to 12 tokens over a 4096-row table
+    # encoder-like: 512 bags of up to 12 tokens over a 4096-row table, at the
+    # model's width and the encoder's
     rng = np.random.default_rng(11)
     lengths = rng.integers(0, 13, size=512)
     ids = rng.integers(0, 4096, size=int(lengths.sum()))
     offsets = np.concatenate([[0], np.cumsum(lengths)])
-    check_against_oracles(rng.normal(size=(4096, 16)), ids, offsets, rng)
+    for d in (16, 64):
+        check_against_oracles(rng.normal(size=(4096, d)), ids, offsets, rng)
 
 
 def test_scatter_add_matches_dense_oracle():
@@ -141,6 +154,8 @@ def test_two_embeddings_of_one_table_sum_their_gradients():
     np.add.at(want, a, pa)
     np.add.at(want, b.reshape(-1), pb.reshape(-1, 3))
     assert np.allclose(table.grad, want, rtol=0, atol=1e-12)
+    # the table records the union of the rows the two scatters wrote
+    assert np.array_equal(table.rows, np.union1d(a, b))
 
 
 def test_select_backwards_match_add_at():

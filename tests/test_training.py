@@ -5,6 +5,7 @@ import pytest
 
 from rankfuse import autodiff as ad
 from rankfuse import data as dt
+from rankfuse import encoder as enc
 from rankfuse import model as md
 from rankfuse import training as tr
 from rankfuse.checkpoint import params_digest
@@ -520,6 +521,23 @@ def test_tape_ops_per_step(variant):
     with ad.Tape() as tape:
         tr.total_risk(batch, md.build_model(mcfg), tr.TrainConfig(batch_size=64))
     assert len(tape) == TAPE_OPS[variant]
+
+
+# token-table rows that one encoder SGD step updates, on a fixed 8-pair batch:
+# its 11 distinct words plus [CLS] and [SEP], of the table's 4098 rows (a
+# dense step writes all 4098)
+ENCODER_STEP_ROWS = 13
+
+
+def test_encoder_step_rows():
+    pairs = [(f"query {i % 3}", f"red item {i}", i % 2) for i in range(8)]
+    config = enc.EncoderConfig(batch_size=8, epochs=1)
+    before = enc.init_encoder(config).token_table.data
+    table = enc.pretrain_encoder(pairs, config)[0].token_table
+    assert table.data.shape[0] == 4098
+    assert table.rows.size == ENCODER_STEP_ROWS
+    moved = np.flatnonzero((table.data != before).any(axis=1))
+    assert np.array_equal(moved, table.rows)
 
 
 def test_risk_report_line_round_trip():
