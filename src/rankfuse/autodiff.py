@@ -105,11 +105,12 @@ class Parameter(Tensor):
 
     ``rows`` says which rows of the buffer may be nonzero. None means any
     row: a fresh parameter, or one that a dense backward reached since the
-    last ``zero_grad``. Otherwise it holds the sorted distinct rows that row
-    scatters (the backwards of ``embedding``, ``embedding_bag_mean`` and
-    ``select_rows``) wrote since then. ``zero_grad`` and ``sgd_step`` touch
-    only those rows, so after ``zero_grad`` gradients are written only
-    through tape ops: a hand-written ``grad`` is seen only on a fresh
+    last ``zero_grad``, or whose row scatters (the backwards of
+    ``embedding``, ``embedding_bag_mean`` and ``select_rows``) wrote more
+    than an eighth of its rows. Otherwise it holds the sorted distinct rows
+    that those scatters wrote since then. ``zero_grad`` and ``sgd_step``
+    touch only those rows, so after ``zero_grad`` gradients are written
+    only through tape ops: a hand-written ``grad`` is seen only on a fresh
     parameter.
     """
 
@@ -248,9 +249,14 @@ def _row_buf(t: Tensor) -> np.ndarray:
 
 
 def _wrote_rows(t: Tensor, rows: np.ndarray) -> None:
-    # widen a parameter's record (Parameter.rows) by the distinct rows just written
+    # widen a parameter's record (Parameter.rows) by the distinct rows just
+    # written. Past an eighth of the table the whole buffer counts: a step
+    # through that many rows by index costs about what a dense one does, and
+    # on small tables it costs more.
     if isinstance(t, Parameter) and t.rows is not None:
-        t.rows = rows if t.rows.size == 0 else kernels.distinct(np.concatenate((t.rows, rows)))[0]
+        if t.rows.size:
+            rows = kernels.distinct(np.concatenate((t.rows, rows)))[0]
+        t.rows = rows if 8 * rows.size <= t.data.shape[0] else None
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:

@@ -43,7 +43,7 @@ def _bincount_rows(bins: np.ndarray, rows: np.ndarray, n_bins: int) -> np.ndarra
     width = min(d, _BLOCK)
     flat = (bins[:, None] * width + np.arange(width)).reshape(-1)
     sums = np.empty((n_bins, d))
-    for lo in range(0, d, width):
+    for lo in range(0, d, _BLOCK):
         block = rows[:, lo : lo + width]
         w = block.shape[1]
         idx = flat if w == width else (bins[:, None] * w + np.arange(w)).reshape(-1)
