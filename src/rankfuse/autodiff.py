@@ -9,6 +9,9 @@ over the same tape produce bit-identical gradients.
 The loss graph changes shape across ablation variants (regularizer off,
 personalization off, fusion bypassed), which is exactly why gradients come
 from the tape instead of hand-derived per-variant formulas.
+
+``sgd_loop`` is the one training loop, run by every stage of the encoder and
+the model; ``sgd_step`` is its plain SGD step per learning-rate group.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .errors import (
     DegenerateDistributionError,
     DimensionError,
     GraphError,
+    TrainingError,
     ValidationError,
 )
 
@@ -200,6 +204,37 @@ def sgd_step(params: Iterable[Parameter], rates: dict[str, float]) -> None:
             p.data -= lr * p.grad
         else:
             p.data[p.rows] -= lr * p.grad[p.rows]
+
+
+def sgd_loop(n: int, batch_size: int, epochs: int, rng: np.random.Generator,
+             params: list[Parameter], rates: dict[str, float], stage: str,
+             make_batch: Callable, loss: Callable, min_batch: int = 1) -> list:
+    """The one training loop. Per epoch one ``rng.permutation(n)``, sliced
+    into batches of ``batch_size`` rows; a batch of fewer than ``min_batch``
+    rows is skipped and keeps its number. Per batch: ``make_batch(rows)``,
+    ``zero_grad``, ``loss(batch, rows, epoch, batch_no)`` -> (loss, record)
+    under a tape, a finite check, backward, ``sgd_step``. Returns the records."""
+    records = []
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        for batch_no, lo in enumerate(range(0, n, batch_size)):
+            rows = order[lo : lo + batch_size]
+            if rows.size < min_batch:
+                continue
+            batch = make_batch(rows)
+            zero_grad(params)
+            with Tape() as tape:
+                value, record = loss(batch, rows, epoch, batch_no)
+            if not np.isfinite(value.item()):
+                raise TrainingError(
+                    f"non-finite loss at epoch {epoch} {stage} batch {batch_no}: "
+                    f"loss={value.item()!r}; batch rows {rows[:8].tolist()}"
+                    f"{'...' if rows.size > 8 else ''}"
+                )
+            tape.backward(value)
+            sgd_step(params, rates)
+            records.append(record)
+    return records
 
 
 # ---------------------------------------------------------------------------

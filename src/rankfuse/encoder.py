@@ -112,9 +112,6 @@ class EncoderParams:
                   *(p for layer in layers if layer is not None for p in layer.params())]
         return {p.name: p for p in params}
 
-    def trainable(self) -> list[ad.Parameter]:
-        return list(self.params().values())
-
 
 def init_encoder(config: EncoderConfig, draw: bool = True) -> EncoderParams:
     """Seeded initial weights; with draw=False, zeros of the same shapes."""
@@ -209,28 +206,21 @@ def _pair_bags(params: EncoderParams, labeled) -> tuple[np.ndarray, np.ndarray, 
 
 
 def _fit(params: EncoderParams, labeled, batch_size: int, epochs: int, lr: float, seed: int,
-         head_loss) -> list[float]:
-    """The epoch loop of both encoder stages: SGD on the labeled triples'
-    pair bags in a seeded order, with `head_loss(embeddings, rows)` as the
-    loss of a batch. Returns the per-epoch mean loss."""
+         stage: str, head_loss) -> list[float]:
+    """Both encoder stages: SGD on the labeled triples' pair bags in a seeded
+    order, with `head_loss(embeddings, rows)` as the loss of a batch. Returns
+    the per-epoch mean loss."""
     bag_flat, bag_off, bags = _pair_bags(params, labeled)
-    rng = np.random.default_rng(seed)
-    trainable = params.trainable()
-    trace = []
-    for _ in range(epochs):
-        order = rng.permutation(len(labeled))
-        epoch_losses = []
-        for lo in range(0, len(order), batch_size):
-            rows = order[lo : lo + batch_size]
-            flat, offsets = kernels.gather_segments(bag_flat, bag_off, bags[rows])
-            ad.zero_grad(trainable)
-            with ad.Tape() as tape:
-                loss = head_loss(encode_bags(params, flat, offsets), rows)
-            tape.backward(loss)
-            ad.sgd_step(trainable, {"stage1": lr})
-            epoch_losses.append(loss.item())
-        trace.append(float(np.mean(epoch_losses)))
-    return trace
+
+    def loss(batch, rows, epoch, batch_no):
+        value = head_loss(encode_bags(params, *batch), rows)
+        return value, value.item()
+
+    losses = ad.sgd_loop(len(labeled), batch_size, epochs, np.random.default_rng(seed),
+                         list(params.params().values()), {"stage1": lr}, stage,
+                         lambda rows: kernels.gather_segments(bag_flat, bag_off, bags[rows]), loss)
+    per_epoch = -(-len(labeled) // batch_size)
+    return [float(np.mean(losses[lo : lo + per_epoch])) for lo in range(0, len(losses), per_epoch)]
 
 
 def pretrain_encoder(
@@ -258,7 +248,7 @@ def pretrain_encoder(
         return -(ad.Tensor(y) * ad.log(p) + ad.Tensor(1.0 - y) * ad.log(1.0 - p)).mean()
 
     trace = _fit(params, pairs, config.batch_size, config.epochs, config.lr, config.seed + 17,
-                 head_loss)
+                 "pretrain", head_loss)
     return params, trace
 
 
@@ -285,7 +275,7 @@ def finetune_encoder(
         return -ad.select_columns(ad.log_softmax(logits), labels[rows]).mean()
 
     trace = _fit(params, labeled_pairs, config.batch_size, config.finetune_epochs, lr,
-                 config.seed + 29, head_loss)
+                 config.seed + 29, "finetune", head_loss)
     return params, trace
 
 

@@ -57,9 +57,11 @@ class ModelConfig:
         for name in ("d", "field_dim", "user_buckets", "item_buckets", "category_buckets", "token_buckets"):
             if int(getattr(self, name)) <= 0:
                 raise ValidationError(f"{name} must be positive")
-        self.base_hidden = tuple(int(v) for v in self.base_hidden)
-        self.rsl_hidden = tuple(int(v) for v in self.rsl_hidden)
-        self.incentive_hidden = tuple(int(v) for v in self.incentive_hidden)
+        for name in ("base_hidden", "rsl_hidden", "incentive_hidden"):
+            widths = tuple(int(v) for v in getattr(self, name))
+            if any(w < 1 for w in widths):
+                raise ValidationError(f"{name} widths must each be at least 1, got {widths}")
+            setattr(self, name, widths)
 
 
 # ---------------------------------------------------------------------------

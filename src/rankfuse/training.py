@@ -4,7 +4,8 @@ Stage 1 warms up the relevance-level module alone as a 4-class classifier
 over the labeled levels. Stage 2 trains everything on the pointwise click
 cross-entropy plus an optional listwise consistency term, with the
 relevance-level group stepped at a much smaller rate so the warm start is
-fine-tuned rather than overwritten.
+fine-tuned rather than overwritten. Both run in `autodiff.sgd_loop`, the one
+training loop, as the encoder's two stages do.
 
 The consistency term synthesizes a priority label per impression,
 alpha*y + beta*(1-y)*rsl, and penalizes the KL divergence between the
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import kernels
-from .autodiff import sgd_step
+from .autodiff import sgd_step  # noqa: F401 - re-exported: the step of both stages
 from .errors import TrainingError, ValidationError
 from .model import ModelParams, TrainingCache, rsl_logits_batch, score_batch
 
@@ -56,8 +57,9 @@ class TrainConfig:
         for name in ("alpha", "beta", "gamma"):
             if not (0 <= getattr(self, name) < math.inf):
                 raise ValidationError(f"{name} must be nonnegative and finite")
-        if self.stage1_epochs < 0 or self.stage2_epochs < 0:
-            raise ValidationError("epoch counts must be nonnegative")
+        for name in ("stage1_epochs", "stage2_epochs"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be nonnegative")
         if self.grouping not in GROUPINGS:
             raise ValidationError(f"grouping {self.grouping!r} not in {GROUPINGS}")
 
@@ -181,15 +183,6 @@ def total_risk(batch, params: ModelParams, config: TrainConfig, *, stage="stage2
     return loss, report
 
 
-def _check_finite(loss_val: float, report: RiskReport, rows: np.ndarray) -> None:
-    if not np.isfinite(loss_val):
-        raise TrainingError(
-            f"non-finite loss at epoch {report.epoch} {report.stage} batch {report.batch}: "
-            f"ctr={report.ctr_risk!r} reg={report.regularizer!r}; "
-            f"batch rows {rows[:8].tolist()}{'...' if rows.size > 8 else ''}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # stages
 
@@ -204,25 +197,15 @@ def pretrain_rsl(
     levels = kernels.distinct(cache.rsl)[0]
     if levels.size < 2:
         raise TrainingError("relevance pretraining needs at least 2 distinct levels")
-    reports: list[RiskReport] = []
-    if config.stage1_epochs == 0:
-        return params, reports
-    rng = np.random.default_rng(config.seed + 1)
     trainable = [p for layer in params.rsl_layers for p in layer.params()]
-    rates = {"rsl-finetune": config.lr_stage1}
-    for epoch in range(config.stage1_epochs):
-        order = rng.permutation(cache.n)
-        for batch_no, lo in enumerate(range(0, cache.n, config.batch_size)):
-            rows = order[lo : lo + config.batch_size]
-            batch = cache.batch(rows)
-            ad.zero_grad(trainable)
-            with ad.Tape() as tape:
-                loss = stage1_loss(params, batch)
-            report = RiskReport("stage1", epoch, batch_no, float(loss.data), 0.0, float(loss.data))
-            _check_finite(float(loss.data), report, rows)
-            tape.backward(loss)
-            sgd_step(trainable, rates)
-            reports.append(report)
+
+    def loss(batch, rows, epoch, batch_no):
+        value = stage1_loss(params, batch)
+        return value, RiskReport("stage1", epoch, batch_no, float(value.data), 0.0, float(value.data))
+
+    reports = ad.sgd_loop(cache.n, config.batch_size, config.stage1_epochs,
+                          np.random.default_rng(config.seed + 1), trainable,
+                          {"rsl-finetune": config.lr_stage1}, "stage1", cache.batch, loss)
     return params, reports
 
 
@@ -232,25 +215,14 @@ def train_stage2(
     """Joint training on the full objective with per-group rates."""
     rsl_rate = config.lr_base if config.no_two_stage else config.lr_rsl_finetune
     rates = {"base": config.lr_base, "rsl-finetune": rsl_rate, "prim": config.lr_prim}
-    trainable = list(params.all_params().values())
-    reports: list[RiskReport] = []
-    rng = np.random.default_rng(config.seed + 2)
-    for epoch in range(config.stage2_epochs):
-        order = rng.permutation(cache.n)
-        for batch_no, lo in enumerate(range(0, cache.n, config.batch_size)):
-            rows = order[lo : lo + config.batch_size]
-            if rows.size < 2:
-                continue  # the listwise term is undefined on singletons
-            batch = cache.batch(rows)
-            ad.zero_grad(trainable)
-            with ad.Tape() as tape:
-                loss, report = total_risk(
-                    batch, params, config, stage="stage2", epoch=epoch, batch_no=batch_no
-                )
-            _check_finite(float(loss.data), report, rows)
-            tape.backward(loss)
-            sgd_step(trainable, rates)
-            reports.append(report)
+
+    def loss(batch, rows, epoch, batch_no):
+        return total_risk(batch, params, config, stage="stage2", epoch=epoch, batch_no=batch_no)
+
+    # min_batch=2: the listwise term is undefined on singletons
+    reports = ad.sgd_loop(cache.n, config.batch_size, config.stage2_epochs,
+                          np.random.default_rng(config.seed + 2), list(params.all_params().values()),
+                          rates, "stage2", cache.batch, loss, min_batch=2)
     return params, reports
 
 

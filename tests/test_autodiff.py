@@ -13,6 +13,7 @@ from rankfuse.errors import (
     DegenerateDistributionError,
     DimensionError,
     GraphError,
+    TrainingError,
     ValidationError,
 )
 
@@ -317,6 +318,72 @@ def test_a_fresh_parameter_steps_on_a_hand_written_grad():
     p.grad[3] = 2.0
     ad.sgd_step([p], {"base": 0.5})
     assert (p.data[3] == 0.0).all() and (p.data[:3] == 1.0).all()
+
+
+# ---------------------------------------------------------------------------
+# the training loop (sgd_loop)
+
+
+def _toy_loop(n, batch_size, epochs, seed, min_batch=1):
+    """sgd_loop over the rows of a toy [n, 2] table, each batch's loss the sum
+    of its rows; each record is (epoch, batch number, rows)."""
+    p = ad.Parameter("p", np.arange(2.0 * n).reshape(n, 2), "base")
+
+    def loss(batch, rows, epoch, batch_no):
+        return ad.embedding(p, batch).sum(), (epoch, batch_no, rows.copy())
+
+    rng = np.random.default_rng(seed)
+    records = ad.sgd_loop(n, batch_size, epochs, rng, [p], {"base": 0.1}, "toy",
+                          lambda rows: rows, loss, min_batch)
+    return p, rng, records
+
+
+def test_sgd_loop_batches_slice_one_permutation_per_epoch():
+    _, rng, records = _toy_loop(10, 4, 3, seed=7)
+    fresh = np.random.default_rng(7)
+    want = []
+    for epoch in range(3):
+        order = fresh.permutation(10)
+        want += [(epoch, b, order[lo : lo + 4]) for b, lo in enumerate(range(0, 10, 4))]
+    assert [r[:2] for r in records] == [w[:2] for w in want]
+    assert all(np.array_equal(r[2], w[2]) for r, w in zip(records, want))
+    # one draw per epoch and no other
+    assert rng.bit_generator.state == fresh.bit_generator.state
+
+
+def test_sgd_loop_skips_a_short_tail_batch_and_keeps_its_number():
+    _, _, records = _toy_loop(129, 64, 3, seed=3, min_batch=2)
+    assert [r[:2] for r in records] == [(e, b) for e in range(3) for b in (0, 1)]
+    assert all(r[2].size == 64 for r in records)
+    # with a minimum of 1 the one-row tail is a step of its own
+    _, _, records = _toy_loop(129, 64, 1, seed=3)
+    assert [(r[1], r[2].size) for r in records] == [(0, 64), (1, 64), (2, 1)]
+
+
+def test_sgd_loop_with_no_epochs_draws_nothing():
+    p, rng, records = _toy_loop(10, 4, 0, seed=5)
+    assert records == []
+    assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+    assert np.array_equal(p.data, np.arange(20.0).reshape(10, 2))
+
+
+def test_sgd_loop_raises_on_a_non_finite_loss_before_any_parameter_moves():
+    n = 10
+    p = ad.Parameter("p", np.arange(2.0 * n).reshape(n, 2), "base")
+    seen = []
+
+    def loss(batch, rows, epoch, batch_no):
+        seen.append(p.data.tobytes())
+        value = ad.embedding(p, batch).sum()
+        return (value * np.nan if (epoch, batch_no) == (1, 1) else value), None
+
+    with pytest.raises(TrainingError, match=r"non-finite loss at epoch 1 toy batch 1: loss=nan"):
+        ad.sgd_loop(n, 4, 3, np.random.default_rng(2), [p], {"base": 0.1}, "toy",
+                    lambda rows: rows, loss)
+    # the earlier steps moved it; the failing one did not, nor did a backward run
+    assert len(seen) == 5 and seen[0] != seen[-1]
+    assert p.data.tobytes() == seen[-1]
+    assert not p.grad.any()
 
 
 # ---------------------------------------------------------------------------

@@ -913,6 +913,50 @@ def test_encoder_schedule_out_of_range_exits_1_naming_the_key(
     assert main(argv + [flag, edge, "--out-dir", str(tmp_path / "edge")]) == 0
 
 
+@pytest.mark.parametrize("line,key", [
+    ("base_hidden=0", "base_hidden"),
+    ("base_hidden=-4", "base_hidden"),
+    ("rsl_hidden=0,4", "rsl_hidden"),
+    ("incentive_hidden=-1", "incentive_hidden"),
+    ("stage1_epochs=-1", "stage1_epochs"),
+    ("stage2_epochs=-1", "stage2_epochs"),
+])
+def test_train_config_out_of_range_exits_1_naming_the_key(pipe, tmp_path, capsys, line, key):
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n", encoding="utf-8")
+    capsys.readouterr()
+    args = ["train", "--train-file", str(pipe["train"]), "--index", str(pipe["index"]),
+            "--out-dir", str(tmp_path / "o"), "--config", str(config), "--d", "16"]
+    assert main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {key} "), err
+    assert not (tmp_path / "o" / "model.ckpt").exists()
+
+
+def test_train_config_with_no_base_hidden_layer_trains(pipe, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("base_hidden=\n", encoding="utf-8")
+    assert run_train(pipe, tmp_path / "o", ["--config", str(config)]) == 0
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_encoder_diverging_rate_exits_2_and_writes_nothing(pipe, tmp_path, capsys, command):
+    out = tmp_path / "o"
+    argv = ["encoder", command, "--train-file", str(pipe["train"]), "--out-dir", str(out),
+            "--encoder-lr", "1e100", "--encoder-batch-size", "128"]
+    if command == "pretrain":
+        argv += ["--d", "16", "--d-raw", "32", "--encoder-epochs", "1"]
+    else:
+        argv += ["--checkpoint", str(pipe["encoder"]), "--finetune-lr-factor", "1",
+                 "--finetune-epochs", "1"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: TrainingError: non-finite loss at epoch 0 "), err
+    assert f" {command} batch " in err
+    assert not (out / "encoder.ckpt").exists() and not (out / "manifest.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval checkpoint names
 

@@ -216,6 +216,14 @@ def test_finetune_empty_or_zero_factor_leaves_params_unchanged():
     assert (params.token_table.data == before).all()
 
 
+def test_finetune_non_finite_loss_aborts_with_context():
+    params = enc.init_encoder(small_config())
+    params.token_table.data[params.cls_id, 0] = np.nan  # every pair bag starts with [CLS]
+    labeled = [("red shoe", "blue hat", 2), ("blue hat", "red shoe", 3)]
+    with pytest.raises(TrainingError, match="non-finite loss at epoch 0 finetune batch 0"):
+        enc.finetune_encoder(params, labeled, small_config())
+
+
 # ---------------------------------------------------------------------------
 # index
 
