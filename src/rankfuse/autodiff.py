@@ -206,6 +206,8 @@ def sgd_step(params: Iterable[Parameter], rates: dict[str, float]) -> None:
             p.data[p.rows] -= lr * p.grad[p.rows]
 
 
+# a diverging run's overflow warnings would only repeat the non-finite-loss error
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def sgd_loop(n: int, batch_size: int, epochs: int, rng: np.random.Generator,
              params: list[Parameter], rates: dict[str, float], stage: str,
              make_batch: Callable, loss: Callable, min_batch: int = 1) -> list:

@@ -15,16 +15,19 @@ timestamp, so equal inputs give equal bytes. Loading never unpickles.
 
 A checkpoint's meta holds its config dataclass, one string per field, in the
 text form `config.resolved` uses too: `format_value` and `parse_value` are
-the one codec of a setting's value.
+the one codec of a setting's value, and `check_value` its one check.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import sys
 import zipfile
-from dataclasses import fields
+from dataclasses import field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -190,6 +193,54 @@ def parse_value(raw: str, default):
     except ValueError:
         what = "integer" if isinstance(default, int) else "number"
         raise ValueError(f"expected {what}, got {raw!r}") from None
+
+
+class Domain(NamedTuple):
+    """What a setting may hold, in words after "must be" (`what`): numbers, or
+    each number of a tuple, from `low` to `high`, never NaN, and `size` of
+    them strictly increasing if set; or, given `choices`, one of them."""
+
+    what: str
+    low: float = -sys.float_info.max
+    high: float = sys.float_info.max
+    size: int = 0
+    choices: tuple = ()
+
+
+FINITE, NONNEGATIVE = Domain("finite"), Domain("finite and at least 0", 0.0)
+POSITIVE = Domain("finite and positive", math.ulp(0.0))  # the least float above 0
+
+
+def integers(low: int, high: float = math.inf) -> Domain:
+    return Domain(f"at least {low}" if high == math.inf else f"from {low} to {high}", low, high)
+
+
+def one_of(choices: tuple) -> Domain:
+    return Domain(f"one of {', '.join(map(str, choices))}", choices=choices)
+
+
+def setting(default, domain: Domain, **key):
+    """A config class field: its default and its domain, and as `key=` its
+    config key where that is not the field name (None: no key sets it)."""
+    return field(default=default, metadata={"domain": domain, **key})
+
+
+def check_value(key: str, value, domain: Domain) -> None:
+    """ValidationError `<key> must be <what>, got <value>` unless `value` is in `domain`."""
+    xs = value if isinstance(value, tuple) else (value,)
+    if domain.choices:
+        ok = value in domain.choices
+    else:
+        ok = all(domain.low <= x <= domain.high for x in xs) and (
+            not domain.size or len(xs) == domain.size and list(xs) == sorted(set(xs)))
+    if not ok:
+        raise ValidationError(f"{key} must be {domain.what}, got {value!r}")
+
+
+def check_fields(config) -> None:
+    """check_value on each field of a config dataclass, named by its key."""
+    for f in fields(config):
+        check_value(f.metadata.get("key") or f.name, getattr(config, f.name), f.metadata["domain"])
 
 
 def config_meta(config) -> dict[str, str]:

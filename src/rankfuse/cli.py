@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import resource
 import sys
 from pathlib import Path
@@ -29,6 +28,7 @@ from . import data as dt
 from . import evaluation as ev
 from . import model as md
 from . import training as tr
+from .checkpoint import check_value, parse_value
 from .encoder import (
     build_index,
     encoder_digest,
@@ -275,11 +275,11 @@ def cmd_sweep(args) -> int:
 
     if args.values:
         try:
-            values = tuple(float(v) for v in args.values.split(","))
+            values = parse_value(args.values, (0.0,))
         except ValueError:
             raise ValidationError(f"--values expects comma-separated numbers: {args.values!r}") from None
-        if not all(math.isfinite(v) for v in values):
-            raise ValidationError(f"--values expects finite numbers: {args.values!r}")
+        for value in values:
+            check_value(args.param, value, cf.DOMAINS[args.param])
     else:
         values = ALPHA_SWEEP if args.param == "alpha" else GAMMA_SWEEP
     if len(values) < 2:
@@ -400,9 +400,8 @@ def _add_common(p, keys=()):
     p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--force", action="store_true", help="allow writing into a non-empty out-dir")
     for key in keys:
-        extra = {"choices": tr.GROUPINGS} if key == "grouping" else {}
         p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(cf.DEFAULTS[key]),
-                       default=None, **extra)
+                       default=None, choices=cf.DOMAINS[key].choices or None)
     p.set_defaults(config_keys=keys)
 
 

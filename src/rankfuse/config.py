@@ -1,9 +1,10 @@
 """Run configuration: one flat key=value namespace for the whole pipeline.
 
 A config file is `key=value` lines with `#` comments. The keys, their
-defaults and their types are the fields of the config classes
+defaults, types and domains are the fields of the config classes
 (`GeneratorConfig`, `EncoderConfig`, `ModelConfig`, `TrainConfig`; see
-CLASSES); a file overrides defaults, command-line flags override the file.
+CLASSES); a file overrides defaults, command-line flags override the file,
+and the result is checked whole, every key against its domain.
 Unknown keys are rejected loudly. Every command echoes its effective
 configuration into the output directory as `config.resolved`, which is itself
 a valid config file that reproduces the run.
@@ -11,46 +12,38 @@ a valid config file that reproduces the run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import fields
 from pathlib import Path
 
-from .checkpoint import format_value, parse_value
+from .checkpoint import check_value, format_value, parse_value
 from .data import GeneratorConfig, open_text
 from .encoder import EncoderConfig
 from .errors import DatasetParseError, ValidationError
 from .model import ModelConfig
 from .training import TrainConfig
 
-# The config classes, in the order of their keys in `config.resolved`, each
-# with the fields that take a key of another name. A field of one name in two
-# classes (`seed`, `d`) is one key. `ModelConfig.variant` and
-# `TrainConfig.no_two_stage` come from command flags, not keys.
-CLASSES = {
-    GeneratorConfig: {},
-    EncoderConfig: {"lr": "encoder_lr", "batch_size": "encoder_batch_size", "epochs": "encoder_epochs"},
-    ModelConfig: {"variant": None},
-    TrainConfig: {"no_two_stage": None},
-}
+# The config classes, in the order of their keys in `config.resolved`. A
+# field of one name in two classes (`seed`, `d`) is one key; fields that
+# command flags set (`variant`, `no_two_stage`) declare no key.
+CLASSES = (GeneratorConfig, EncoderConfig, ModelConfig, TrainConfig)
 
 
-def _schema() -> tuple[dict, dict]:
-    """(class -> {field: key}, key -> default), from the class fields."""
-    keys, defaults = {}, {}
-    for cls, renamed in CLASSES.items():
+def _schema() -> tuple[dict, dict, dict]:
+    """(class -> {field: key}, key -> default, key -> domain), from the fields."""
+    keys, defaults, domains = {}, {}, {}
+    for cls in CLASSES:
         keys[cls] = {}
         for f in fields(cls):
-            key = renamed.get(f.name, f.name)
+            key, domain = f.metadata.get("key", f.name), f.metadata["domain"]
             if key is None:
                 continue
-            if defaults.setdefault(key, f.default) != f.default:
-                raise TypeError(f"config key {key}: {cls.__name__} default {f.default!r} "
-                                f"differs from {defaults[key]!r}")
+            if (defaults.setdefault(key, f.default), domains.setdefault(key, domain)) != (f.default, domain):
+                raise TypeError(f"config key {key}: {cls.__name__} declares another default or domain")
             keys[cls][f.name] = key
-    return keys, defaults
+    return keys, defaults, domains
 
 
-_KEYS, DEFAULTS = _schema()
+_KEYS, DEFAULTS, DOMAINS = _schema()
 
 
 def parse_config_file(path) -> dict:
@@ -78,7 +71,7 @@ def parse_config_file(path) -> dict:
 
 
 def resolve_config(file_path=None, overrides: dict | None = None) -> dict:
-    """defaults <- config file <- explicit overrides."""
+    """defaults <- config file <- explicit overrides, each checked in its domain."""
     cfg = dict(DEFAULTS)
     if file_path is not None:
         cfg.update(parse_config_file(file_path))
@@ -87,10 +80,8 @@ def resolve_config(file_path=None, overrides: dict | None = None) -> dict:
             raise ValidationError(f"unknown config key {key!r}")
         if value is not None:
             cfg[key] = value
-    for key, default in DEFAULTS.items():
-        values = cfg[key] if isinstance(default, tuple) else (cfg[key],)
-        if isinstance(default, (float, tuple)) and not all(math.isfinite(v) for v in values):
-            raise ValidationError(f"config key {key}: expected finite numbers, got {cfg[key]!r}")
+    for key, value in cfg.items():
+        check_value(key, value, DOMAINS[key])
     return cfg
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import kernels
 from .autodiff import np_sigmoid
-from .checkpoint import ZIP_MAGIC
+from .checkpoint import FINITE, POSITIVE, ZIP_MAGIC, Domain, check_fields, integers, setting
 from .encoder import PAIR_KEY_SEP, tokenize
 from .errors import DatasetParseError, ValidationError
 
@@ -60,37 +60,30 @@ _FIELD_FORBIDDEN = (";", "^", PAIR_KEY_SEP)
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 _SYLLABLES = [c + v for c in "bdklmnprstvz" for v in "aeiou"]
+# the most descriptors an item draws: rng.integers(3, MOST_DESCRIPTORS + 1)
+MOST_DESCRIPTORS = 8
 
 
 @dataclass
 class GeneratorConfig:
-    seed: int = 0
-    n_users: int = 200
-    n_items: int = 1000
-    n_queries: int = 300
-    n_impressions: int = 100000
-    n_categories: int = 12
-    n_descriptors: int = 120
-    w_quality: float = 3.0
-    w_relevance: float = 3.0
-    bias: float = -1.0
-    sensitivity_a: float = 2.0
-    sensitivity_b: float = 2.0
-    rsl_thresholds: tuple[float, float, float] = (0.25, 0.5, 0.75)
+    seed: int = setting(0, integers(0))
+    n_users: int = setting(200, integers(1))
+    n_items: int = setting(1000, integers(1))
+    n_queries: int = setting(300, integers(1))
+    n_impressions: int = setting(100000, integers(1))
+    n_categories: int = setting(12, integers(1, len(_SYLLABLES) ** 3))
+    n_descriptors: int = setting(120, integers(MOST_DESCRIPTORS, len(_SYLLABLES) ** 2))
+    w_quality: float = setting(3.0, FINITE)
+    w_relevance: float = setting(3.0, FINITE)
+    bias: float = setting(-1.0, FINITE)
+    sensitivity_a: float = setting(2.0, POSITIVE)
+    sensitivity_b: float = setting(2.0, POSITIVE)
+    rsl_thresholds: tuple[float, float, float] = setting((0.25, 0.5, 0.75), Domain(
+        "three increasing numbers strictly between 0 and 1", POSITIVE.low, math.nextafter(1.0, 0.0), 3))
 
     def __post_init__(self):
-        for name in ("n_users", "n_items", "n_queries", "n_impressions", "n_categories", "n_descriptors"):
-            if int(getattr(self, name)) <= 0:
-                raise ValidationError(f"{name} must be positive")
         self.rsl_thresholds = tuple(float(t) for t in self.rsl_thresholds)
-        ts = self.rsl_thresholds
-        if len(ts) != 3 or not all(0.0 < a < 1.0 for a in ts) or not (ts[0] < ts[1] < ts[2]):
-            raise ValidationError("rsl_thresholds must be strictly increasing within (0,1)")
-        for name in ("w_quality", "w_relevance", "bias"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
-        if self.sensitivity_a <= 0 or self.sensitivity_b <= 0:
-            raise ValidationError("sensitivity beta parameters must be positive")
+        check_fields(self)
 
 
 @dataclass
@@ -398,7 +391,7 @@ def generate_corpus(config: GeneratorConfig) -> tuple[list[Sample], dict]:
             desc = list(item_desc[base])
             variants_of.setdefault(base, []).append(j)
         else:
-            k = int(rng.integers(3, 9))
+            k = int(rng.integers(3, MOST_DESCRIPTORS + 1))
             desc = _pick(rng, descriptors, k)
         _add_item(int(rng.integers(config.n_categories)), desc)
 
@@ -417,7 +410,7 @@ def generate_corpus(config: GeneratorConfig) -> tuple[list[Sample], dict]:
     rich = [q for q in range(config.n_queries) if query_desc[q]]
     for _ in range(config.n_items - n_base):
         if not rich or config.n_categories < 2:
-            k = int(rng.integers(3, 9))
+            k = int(rng.integers(3, MOST_DESCRIPTORS + 1))
             _add_item(int(rng.integers(config.n_categories)), _pick(rng, descriptors, k))
             continue
         q = rich[int(rng.integers(len(rich)))]

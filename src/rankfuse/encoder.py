@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -25,6 +24,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import kernels
+from .checkpoint import NONNEGATIVE, check_fields, integers, setting
+from .checkpoint import load_container, params_digest, require_array, save_container
 from .errors import (
     DatasetParseError,
     DimensionError,
@@ -58,29 +59,17 @@ def token_id(token: str, vocab_size: int) -> int:
 
 @dataclass
 class EncoderConfig:
-    vocab_size: int = 4096
-    d_raw: int = 64
-    d: int = 32
-    seed: int = 0
-    lr: float = 0.5
-    batch_size: int = 256
-    epochs: int = 5
-    finetune_lr_factor: float = 0.1
-    finetune_epochs: int = 5
+    vocab_size: int = setting(4096, integers(1))
+    d_raw: int = setting(64, integers(1))
+    d: int = setting(32, integers(1))
+    seed: int = setting(0, integers(0))
+    lr: float = setting(0.5, NONNEGATIVE, key="encoder_lr")
+    batch_size: int = setting(256, integers(1), key="encoder_batch_size")
+    epochs: int = setting(5, integers(0), key="encoder_epochs")
+    finetune_lr_factor: float = setting(0.1, NONNEGATIVE)
+    finetune_epochs: int = setting(5, integers(0))
 
-    def __post_init__(self):
-        if self.vocab_size < 1 or self.d_raw < 1 or self.d < 1:
-            raise ValidationError("vocab_size, d_raw and d must be positive")
-        # `not (range test)`, so that NaN, which fails every comparison, is refused
-        for name in ("lr", "finetune_lr_factor"):
-            if not (0 <= getattr(self, name) < math.inf):
-                raise ValidationError(f"{name} must be >= 0 and finite")
-        # named by their config keys, which is what a user sets
-        if self.batch_size < 1:
-            raise ValidationError("encoder_batch_size must be at least 1")
-        for name, key in (("epochs", "encoder_epochs"), ("finetune_epochs", "finetune_epochs")):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{key} must be nonnegative")
+    __post_init__ = check_fields
 
 
 @dataclass
@@ -376,8 +365,6 @@ def load_encoder(path) -> EncoderParams:
 
 
 def encoder_digest(params: EncoderParams) -> str:
-    from .checkpoint import params_digest
-
     return params_digest(params.params())
 
 
@@ -388,8 +375,6 @@ def save_index(index: EmbeddingIndex, path):
     blob plus int64 byte offsets (`<kind>_keys`, `<kind>_offsets`), and the
     vectors as the rows of a float64 `<kind>_mat` of width `dim`.
     """
-    from .checkpoint import save_container
-
     arrays = {}
     for kind, table in (("text", index.text), ("pair", index.pair)):
         keys = sorted(table)
@@ -413,8 +398,6 @@ def load_index(path) -> EmbeddingIndex:
     """Read an index written by save_index; `.text` and `.pair` map each key
     to a row view of its kind's matrix. Every structural fault is a
     DatasetParseError naming the file."""
-    from .checkpoint import load_container, require_array
-
     head, arrays = load_container(path, "index", rerun="rankfuse encoder build-index")
     dim, checkpoint_id = head.get("dim"), head.get("checkpoint_id")
     if type(dim) is not int or dim < 1 or not isinstance(checkpoint_id, str):

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import kernels
+from .checkpoint import check_fields, integers, one_of, setting
 from .data import Dataset, Sample, derive_flags
 from .encoder import EmbeddingIndex, token_id, tokenize
 from .errors import DatasetParseError, DimensionError, ValidationError
@@ -39,29 +40,22 @@ FIELD_NAMES = ("user", "item", "query_category", "item_category", "query_tokens"
 
 @dataclass
 class ModelConfig:
-    variant: str = "full"
-    d: int = 32
-    field_dim: int = 16
-    user_buckets: int = 1024
-    item_buckets: int = 4096
-    category_buckets: int = 64
-    token_buckets: int = 512
-    base_hidden: tuple[int, ...] = (64, 32)
-    rsl_hidden: tuple[int, ...] = (32,)
-    incentive_hidden: tuple[int, ...] = (16,)
-    seed: int = 0
+    variant: str = setting("full", one_of(VARIANTS), key=None)  # set by train's flags
+    d: int = setting(32, integers(1))
+    field_dim: int = setting(16, integers(1))
+    user_buckets: int = setting(1024, integers(1))
+    item_buckets: int = setting(4096, integers(1))
+    category_buckets: int = setting(64, integers(1))
+    token_buckets: int = setting(512, integers(1))
+    base_hidden: tuple[int, ...] = setting((64, 32), integers(1))
+    rsl_hidden: tuple[int, ...] = setting((32,), integers(1))
+    incentive_hidden: tuple[int, ...] = setting((16,), integers(1))
+    seed: int = setting(0, integers(0))
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValidationError(f"variant {self.variant!r} not in {VARIANTS}")
-        for name in ("d", "field_dim", "user_buckets", "item_buckets", "category_buckets", "token_buckets"):
-            if int(getattr(self, name)) <= 0:
-                raise ValidationError(f"{name} must be positive")
         for name in ("base_hidden", "rsl_hidden", "incentive_hidden"):
-            widths = tuple(int(v) for v in getattr(self, name))
-            if any(w < 1 for w in widths):
-                raise ValidationError(f"{name} widths must each be at least 1, got {widths}")
-            setattr(self, name, widths)
+            setattr(self, name, tuple(int(v) for v in getattr(self, name)))
+        check_fields(self)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ disabled regularizer run byte-identical code paths.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from . import kernels
 from .autodiff import sgd_step  # noqa: F401 - re-exported: the step of both stages
+from .checkpoint import NONNEGATIVE, POSITIVE, check_fields, integers, one_of, setting
 from .errors import TrainingError, ValidationError
 from .model import ModelParams, TrainingCache, rsl_logits_batch, score_batch
 
@@ -33,35 +33,21 @@ GROUPINGS = ("batch", "query-group")
 
 @dataclass
 class TrainConfig:
-    batch_size: int = 4096
-    lr_stage1: float = 1e-4
-    lr_base: float = 1e-4
-    lr_rsl_finetune: float = 1e-5
-    lr_prim: float = 1e-4
-    alpha: float = 4.0
-    beta: float = 1.0
-    gamma: float = 0.3
-    stage1_epochs: int = 5
-    stage2_epochs: int = 10
-    seed: int = 0
-    grouping: str = "batch"
-    no_two_stage: bool = False
+    batch_size: int = setting(4096, integers(2))
+    lr_stage1: float = setting(1e-4, POSITIVE)
+    lr_base: float = setting(1e-4, POSITIVE)
+    lr_rsl_finetune: float = setting(1e-5, POSITIVE)
+    lr_prim: float = setting(1e-4, POSITIVE)
+    alpha: float = setting(4.0, NONNEGATIVE)
+    beta: float = setting(1.0, NONNEGATIVE)
+    gamma: float = setting(0.3, NONNEGATIVE)
+    stage1_epochs: int = setting(5, integers(0))
+    stage2_epochs: int = setting(10, integers(0))
+    seed: int = setting(0, integers(0))
+    grouping: str = setting("batch", one_of(GROUPINGS))
+    no_two_stage: bool = setting(False, one_of((False, True)), key=None)  # set by train's flag
 
-    def __post_init__(self):
-        if self.batch_size < 2:
-            raise ValidationError("batch_size must be at least 2")
-        # `not (range test)`, so that NaN, which fails every comparison, is refused
-        for name in ("lr_stage1", "lr_base", "lr_rsl_finetune", "lr_prim"):
-            if not (0 < getattr(self, name) < math.inf):
-                raise ValidationError(f"{name} must be positive and finite")
-        for name in ("alpha", "beta", "gamma"):
-            if not (0 <= getattr(self, name) < math.inf):
-                raise ValidationError(f"{name} must be nonnegative and finite")
-        for name in ("stage1_epochs", "stage2_epochs"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be nonnegative")
-        if self.grouping not in GROUPINGS:
-            raise ValidationError(f"grouping {self.grouping!r} not in {GROUPINGS}")
+    __post_init__ = check_fields
 
 
 @dataclass

@@ -473,7 +473,7 @@ def test_sweep_points_train_with_the_resolved_config(pipe, tmp_path, capsys):
 
 
 def test_sweep_needs_two_values(pipe, tmp_path):
-    for n, values in enumerate(("4", "nan,4", "4,inf")):
+    for n, values in enumerate(("4", "nan,4", "4,inf", "-1,4")):
         code = main(
             ["sweep", "--param", "alpha", "--values", values,
              "--train-file", str(pipe["train"]), "--test-file", str(pipe["test"]),
@@ -957,6 +957,21 @@ def test_encoder_diverging_rate_exits_2_and_writes_nothing(pipe, tmp_path, capsy
     assert not (out / "encoder.ckpt").exists() and not (out / "manifest.json").exists()
 
 
+def test_a_diverging_run_writes_one_stderr_line(pipe, tmp_path):
+    # the non-finite-loss error, without numpy's overflow warnings before it
+    argv = ["encoder", "pretrain", "--train-file", str(pipe["train"]), "--out-dir",
+            str(tmp_path / "o"), "--encoder-lr", "1e100", "--encoder-batch-size", "128",
+            "--d", "16", "--d-raw", "32", "--encoder-epochs", "1"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH"))
+        if p))
+    proc = subprocess.run([sys.executable, "-m", "rankfuse.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime error: TrainingError: non-finite loss"), err
+
+
 # ---------------------------------------------------------------------------
 # eval checkpoint names
 
@@ -983,7 +998,8 @@ def test_eval_refuses_a_repeated_or_unwritable_name_before_scoring(
 
 def stage_case(command, pipe, model, tmp_path):
     """(argv without --out-dir and --config, the files it names, an argv that
-    fails after the out-dir is made)."""
+    fails: after the out-dir is made, but gen-data's on a config value, which
+    is refused before)."""
     train, test, index, encoder = (pipe[k] for k in ("train", "test", "index", "encoder"))
     missing = str(tmp_path / "missing.tsv")
     if command == "gen-data":
@@ -1034,7 +1050,7 @@ def test_stage_contract(pipe, ranked_model, tmp_path, command):
 
     failed = tmp_path / "failed"
     assert main(broken + ["--out-dir", str(failed), "--config", str(config)]) == 1
-    assert failed.is_dir()
+    assert failed.is_dir() == (command != "gen-data")
     assert not (failed / "config.resolved").exists() and not (failed / "manifest.json").exists()
 
     out = tmp_path / "out"

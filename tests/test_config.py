@@ -1,7 +1,13 @@
+import math
+from dataclasses import fields
+
 import pytest
 
 from rankfuse import config as cf
+from rankfuse import data as dt
+from rankfuse.checkpoint import Domain, format_value
 from rankfuse.cli import main
+from rankfuse.encoder import EncoderConfig
 from rankfuse.errors import DatasetParseError, ValidationError
 
 
@@ -155,22 +161,6 @@ def test_empty_tuple_value(tmp_path):
     assert cf.parse_config_file(path) == {"rsl_hidden": ()}
 
 
-def test_non_finite_floats_rejected(tmp_path):
-    float_keys = [k for k, v in cf.DEFAULTS.items() if isinstance(v, float)]
-    assert "lr_base" in float_keys and "alpha" in float_keys
-    path = tmp_path / "run.cfg"
-    for key in float_keys:
-        for raw in ("nan", "inf", "-inf"):
-            path.write_text(f"{key}={raw}\n", encoding="utf-8")
-            with pytest.raises(ValidationError, match=key):
-                cf.resolve_config(path)
-            with pytest.raises(ValidationError, match=key):
-                cf.resolve_config(overrides={key: float(raw)})
-    path.write_text("rsl_thresholds=0.25,nan,0.75\n", encoding="utf-8")
-    with pytest.raises(ValidationError, match="rsl_thresholds"):
-        cf.resolve_config(path)
-
-
 # one valid value other than the default, per key
 ALTERNATES = {
     "seed": 1, "n_users": 50, "n_items": 500, "n_queries": 100, "n_impressions": 5000,
@@ -196,3 +186,122 @@ def test_every_key_reaches_a_builder(key):
     changed = cf.resolve_config(overrides={key: ALTERNATES[key]})
     assert changed[key] != base[key]
     assert any(build(changed) != build(base) for build in builders), key
+
+
+# ---------------------------------------------------------------------------
+# the domain gate: each key just outside its domain, and on its edges
+
+
+def test_every_field_of_every_config_class_declares_its_domain():
+    undeclared = [f"{cls.__name__}.{f.name}" for cls in cf.CLASSES for f in fields(cls)
+                  if not isinstance(f.metadata.get("domain"), Domain)]
+    assert undeclared == []
+
+
+def domain_values(domain: Domain, default) -> tuple[list, list]:
+    """(values just outside `domain`, values on its edges), of the type of
+    `default`. In a tuple, a value above the last element replaces that one
+    and any other value the first, so an increasing tuple stays increasing."""
+    if domain.choices:
+        return ["none-of-these"], list(domain.choices)
+    if isinstance(default[0] if isinstance(default, tuple) else default, int):
+        outside = [v for v in (domain.low - 1, domain.high + 1) if v != math.inf]
+        edges = [v for v in (domain.low, domain.high) if v != math.inf]
+    else:
+        outside = [math.nextafter(domain.low, -math.inf), math.nextafter(domain.high, math.inf),
+                   math.nan, -math.inf]
+        edges = [domain.low, domain.high]
+    if isinstance(default, tuple):
+        def put(v):
+            return default[:-1] + (v,) if v > default[-1] else (v,) + default[1:]
+        outside, edges = [put(v) for v in outside], [put(v) for v in edges]
+        if domain.size:  # two elements out of order, and one element too few
+            outside += [(default[1], default[0]) + default[2:], default[:-1]]
+    return list(dict.fromkeys(outside)), edges
+
+
+def key_cases(which: int) -> list:
+    return [pytest.param(key, v, id=f"{key}={format_value(v)}") for key, domain in cf.DOMAINS.items()
+            for v in domain_values(domain, cf.DEFAULTS[key])[which]]
+
+
+def reading_command(key: str, files: dict) -> list[str]:
+    """The argv, without --config and --out-dir, of a command that reads
+    `key`: the command of the first config class that declares it."""
+    cls = next(c for c in cf.CLASSES if key in cf._KEYS[c].values())
+    if cls is dt.GeneratorConfig:
+        return ["gen-data"]
+    if cls is EncoderConfig and key.startswith("finetune"):
+        return ["encoder", "finetune", "--checkpoint", files["encoder"], "--train-file", files["train"]]
+    if cls is EncoderConfig:
+        return ["encoder", "pretrain", "--train-file", files["train"]]
+    return ["train", "--train-file", files["train"], "--index", files["index"]]
+
+
+def write_config(path, cfg: dict):
+    path.write_text("".join(f"{k}={format_value(v)}\n" for k, v in cfg.items()), encoding="utf-8")
+    return path
+
+
+# a tiny corpus and encoder, and no epochs: each edge run takes milliseconds
+QUICK = {"n_impressions": 200, "n_users": 8, "n_items": 40, "n_queries": 15, "vocab_size": 256,
+         "d_raw": 16, "d": 8, "encoder_epochs": 0, "finetune_epochs": 0, "stage1_epochs": 0,
+         "stage2_epochs": 0}
+# generating this many categories takes about 17 s; the config is still built
+TOO_SLOW_TO_RUN = {("n_categories", 216000)}
+
+
+@pytest.fixture(scope="module")
+def quick_pipe(tmp_path_factory):
+    root = tmp_path_factory.mktemp("quick")
+    config = str(write_config(root / "quick.cfg", QUICK))
+    assert main(["gen-data", "--config", config, "--out-dir", str(root / "data")]) == 0
+    files = {"train": str(root / "data" / "train.tsv"), "encoder": str(root / "enc" / "encoder.ckpt"),
+             "index": str(root / "idx" / "index.tsv")}
+    assert main(["encoder", "pretrain", "--train-file", files["train"], "--config", config,
+                 "--out-dir", str(root / "enc")]) == 0
+    assert main(["encoder", "build-index", "--checkpoint", files["encoder"], "--dataset-file",
+                 files["train"], "--out-dir", str(root / "idx")]) == 0
+    return files
+
+
+@pytest.mark.parametrize("key,value", key_cases(0))
+def test_a_key_outside_its_domain_exits_1_naming_the_key(tmp_path, capsys, key, value):
+    # refused while the config resolves: before any input is read or the
+    # out-dir is made, so the inputs need not exist
+    config = write_config(tmp_path / "run.cfg", {key: value})
+    missing = {name: str(tmp_path / name) for name in ("train", "encoder", "index")}
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(reading_command(key, missing) + ["--config", str(config), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {key} must be "), err
+    assert not out.exists()
+    with pytest.raises(ValidationError, match=f"^{key} must be "):
+        cf.resolve_config(overrides={key: value})
+
+
+@pytest.mark.parametrize("key,value", key_cases(1))
+def test_a_key_on_the_edge_of_its_domain_is_accepted(quick_pipe, tmp_path, key, value):
+    config = write_config(tmp_path / "run.cfg", {**QUICK, key: value})
+    cfg = cf.resolve_config(config)
+    for build in (cf.to_generator_config, cf.to_encoder_config, cf.to_model_config,
+                  cf.to_train_config):
+        build(cfg)
+    if (key, value) not in TOO_SLOW_TO_RUN:
+        argv = reading_command(key, quick_pipe) + ["--config", str(config), "--out-dir", str(tmp_path / "o")]
+        assert main(argv) == 0
+
+
+@pytest.mark.parametrize("cls", cf.CLASSES, ids=lambda cls: cls.__name__)
+def test_a_config_class_checks_each_field_on_construction(cls):
+    # criterion tests build tr.TrainConfig(batch_size=4) directly; fields that
+    # no key sets (variant, no_two_stage) are checked too, under their names
+    for f in fields(cls):
+        key = f.metadata.get("key") or f.name
+        outside, edges = domain_values(f.metadata["domain"], f.default)
+        for value in outside:
+            with pytest.raises(ValidationError, match=f"^{key} must be "):
+                cls(**{f.name: value})
+        for value in edges:
+            cls(**{f.name: value})

@@ -41,23 +41,6 @@ def _toy_click_pairs(rng, n):
     return pairs
 
 
-def test_encoder_config_rejects_non_finite_rates():
-    for name in ("lr", "finetune_lr_factor"):
-        for bad in (float("nan"), float("inf"), -0.5):
-            with pytest.raises(ValidationError, match=name):
-                small_config(**{name: bad})
-    small_config(finetune_lr_factor=0.0)  # a zero factor still means "no finetune"
-
-
-def test_encoder_config_refuses_an_empty_batch_and_negative_epochs():
-    for field, key, bad in (("batch_size", "encoder_batch_size", 0),
-                            ("epochs", "encoder_epochs", -1),
-                            ("finetune_epochs", "finetune_epochs", -1)):
-        with pytest.raises(ValidationError, match=f"^{key} "):
-            small_config(**{field: bad})
-    small_config(batch_size=1, epochs=0, finetune_epochs=0)
-
-
 def test_tokenize_is_lowercase_whitespace():
     assert enc.tokenize("Red  Shoe\tbox") == ["red", "shoe", "box"]
     assert enc.tokenize("") == []

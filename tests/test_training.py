@@ -67,28 +67,6 @@ def zero_layers(layers):
 
 
 # ---------------------------------------------------------------------------
-# config
-
-
-def test_train_config_validation():
-    with pytest.raises(ValidationError):
-        tr.TrainConfig(batch_size=1)
-    with pytest.raises(ValidationError):
-        tr.TrainConfig(lr_base=0.0)
-    with pytest.raises(ValidationError):
-        tr.TrainConfig(gamma=-0.1)
-    with pytest.raises(ValidationError):
-        tr.TrainConfig(grouping="session")
-    with pytest.raises(ValidationError):
-        tr.TrainConfig(stage1_epochs=-1)
-    for name in ("alpha", "beta", "gamma", "lr_stage1", "lr_base", "lr_rsl_finetune", "lr_prim"):
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValidationError, match=name):
-                tr.TrainConfig(**{name: bad})
-    tr.TrainConfig()  # defaults are valid
-
-
-# ---------------------------------------------------------------------------
 # pointwise risk
 
 
