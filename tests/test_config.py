@@ -176,16 +176,17 @@ ALTERNATES = {
 }
 
 
+BUILDERS = (cf.to_generator_config, cf.to_encoder_config, cf.to_model_config, cf.to_train_config)
+
+
 @pytest.mark.parametrize("key", list(cf.DEFAULTS))
 def test_every_key_reaches_a_builder(key):
     # a key that no builder reads is a setting that changes nothing
     assert key in ALTERNATES, f"add an alternate value for {key}"
-    builders = (cf.to_generator_config, cf.to_encoder_config, cf.to_model_config,
-                cf.to_train_config)
     base = cf.resolve_config()
     changed = cf.resolve_config(overrides={key: ALTERNATES[key]})
     assert changed[key] != base[key]
-    assert any(build(changed) != build(base) for build in builders), key
+    assert any(build(changed) != build(base) for build in BUILDERS), key
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +286,7 @@ def test_a_key_outside_its_domain_exits_1_naming_the_key(tmp_path, capsys, key, 
 def test_a_key_on_the_edge_of_its_domain_is_accepted(quick_pipe, tmp_path, key, value):
     config = write_config(tmp_path / "run.cfg", {**QUICK, key: value})
     cfg = cf.resolve_config(config)
-    for build in (cf.to_generator_config, cf.to_encoder_config, cf.to_model_config,
-                  cf.to_train_config):
+    for build in BUILDERS:
         build(cfg)
     if (key, value) not in TOO_SLOW_TO_RUN:
         argv = reading_command(key, quick_pipe) + ["--config", str(config), "--out-dir", str(tmp_path / "o")]
