@@ -7,8 +7,8 @@ manifest holds `command`, `config`, the sha256 of each file in `inputs` and
 `duration_seconds`, `peak_rss_mb` (the process's peak resident memory) and
 `numpy_version`; train, eval and rank also record `index_cache_misses`, the
 lookups the index had to encode on the fly. A run that fails writes neither
-file. Exit codes: 0 success, 1 validation or missing-input error, 2 runtime
-error.
+file. Exit codes: 0 success, 1 validation error (a missing input, or a
+metric the given split or checkpoint leaves undefined), 2 runtime error.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .encoder import (
     save_encoder,
     save_index,
 )
-from .errors import DatasetParseError, DependencyError, DimensionError, ValidationError
+from .errors import DatasetParseError, DependencyError, ValidationError
 
 ALPHA_SWEEP = (1.0, 2.0, 4.0, 6.0, 8.0)
 GAMMA_SWEEP = (0.0, 0.1, 0.3, 0.5, 1.0)
@@ -298,7 +298,7 @@ def cmd_sweep(args) -> int:
         params = md.build_model(mcfg)
         params, _ = tr.train_two_stage(cache, params, tcfg)
         scores = md.score_cache(params, test_cache, batch_size=run.cfg["batch_size"])
-        report = ev.evaluate_scores(ev.samples_to_impressions(test_samples, scores), index)
+        report = ev.evaluate_scores(test_samples, scores, index)
         row = {
             "variant": f"run{i}",
             "auc": report.auc,
@@ -487,7 +487,7 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ValidationError, DependencyError, DatasetParseError, DimensionError) as e:
+    except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # noqa: BLE001 - the CLI boundary maps everything to exit 2

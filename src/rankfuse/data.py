@@ -245,6 +245,12 @@ class Dataset(Sequence):
         t = self.texts
         return [(t[q], t[i]) for q, i in zip((keys // n).tolist(), (keys % n).tolist())]
 
+    def text_ranks(self) -> np.ndarray:
+        """Each text's rank in sorted order, by text id."""
+        t = self.texts
+        rank = np.empty(len(t), dtype=np.int64)
+        rank[sorted(range(len(t)), key=t.__getitem__)] = np.arange(len(t))
+        return rank
 
 
 def _numbered(keys) -> dict:

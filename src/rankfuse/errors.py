@@ -55,5 +55,6 @@ class EmbeddingLookupError(ValidationError, LookupError):
     """Index lookup failed and no encoder parameters were given to fall back on."""
 
 
-class UndefinedMetricError(RankfuseError, ValueError):
-    """Metric is undefined for this input (e.g. single-class AUC)."""
+class UndefinedMetricError(ValidationError):
+    """Metric is undefined for the split or checkpoint given (e.g. AUC of a
+    split with one class)."""

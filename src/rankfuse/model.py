@@ -276,9 +276,8 @@ class TrainingCache:
 
         # a text's rank in sorted order; rank(q) * n_texts + rank(i) sorts
         # pairs as their (query, item) tuples sort
-        order = np.array(sorted(range(n_texts), key=texts.__getitem__), dtype=np.int64)
-        rank = np.empty(n_texts, dtype=np.int64)
-        rank[order] = np.arange(n_texts)
+        rank = ds.text_ranks()
+        order = np.argsort(rank)
         looked_up = np.zeros(n_texts, dtype=bool)
         looked_up[ds.query_text_id] = looked_up[ds.item_text_id] = looked_up[entry_q] = True
         text_ids = order[looked_up[order]]

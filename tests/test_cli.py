@@ -973,6 +973,47 @@ def test_a_diverging_run_writes_one_stderr_line(pipe, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# undefined metrics
+
+
+def test_eval_and_sweep_refuse_an_undefined_metric(pipe, ranked_model, tmp_path, capsys):
+    # a metric that the given split or checkpoint leaves undefined is bad
+    # input: exit 1, one error line, no manifest
+    samples = list(dt.read_dataset(pipe["test"]))
+    no_clicks, one_class_users = tmp_path / "no-clicks.tsv", tmp_path / "one-class-users.tsv"
+    for s in samples:
+        s.click = 0
+    dt.write_dataset(samples, no_clicks)
+    for s in samples:
+        s.click = s.user_id % 2  # both classes overall, one per user
+    dt.write_dataset(samples, one_class_users)
+    params, _ = md.load_model(ranked_model)
+    for p in params.all_params().values():
+        p.data[...] = 0.0  # every row gets the same score: AUC 0.5
+    flat = tmp_path / "flat.ckpt"
+    md.save_model(params, flat)
+    index = ["--index", str(pipe["index"])]
+    cases = [
+        ("AUC needs both", ["eval", "--checkpoint", f"m={ranked_model}",
+                            "--test-file", str(no_clicks)] + index),
+        ("GAUC: no user", ["eval", "--checkpoint", f"m={ranked_model}",
+                           "--test-file", str(one_class_users)] + index),
+        ("RelaImpr undefined", ["eval", "--checkpoint", f"flat={flat}",
+                                "--test-file", str(pipe["test"])] + index),
+        ("AUC needs both", ["sweep", "--param", "alpha", "--values", "1,2",
+                            "--train-file", str(pipe["train"]), "--test-file", str(no_clicks)]
+         + index + TRAIN_FLAGS),
+    ]
+    for n, (words, argv) in enumerate(cases):
+        capsys.readouterr()
+        out = tmp_path / f"o{n}"
+        assert main(argv + ["--out-dir", str(out)]) == 1, words
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and words in err[0], err
+        assert not (out / "manifest.json").exists()
+
+
+# ---------------------------------------------------------------------------
 # eval checkpoint names
 
 

@@ -12,6 +12,13 @@ def imp(uid, score, click, q="q", item=None):
     return ev.ScoredImpression(uid, q, item or f"it{score}", float(score), click)
 
 
+def split(rows):
+    """A Dataset of (user, query, item, score, click) rows, and its scores."""
+    ds = dt.Dataset.from_samples(
+        [dt.Sample(u, q, 0, item, 0, 0, 1, click, []) for u, q, item, _, click in rows])
+    return ds, np.array([r[3] for r in rows], dtype=np.float64)
+
+
 def make_index(samples, d, seed=11):
     rng = np.random.default_rng(seed)
     idx = EmbeddingIndex(dim=d, checkpoint_id="fixture")
@@ -103,10 +110,22 @@ def test_auc_input_validation():
 
 
 def test_scored_impression_validation():
+    # the list forms and the columns refuse a non-finite score, a click
+    # outside {0, 1}, and a score count that is not the row count
+    for bad in (imp(1, float("nan"), 0), imp(1, 0.5, 2), imp(1, 0.5, 0.5)):
+        rows = [bad, imp(1, 0.1, 0, item="a"), imp(1, 0.9, 1, item="b")]
+        for metric in (ev.auc, ev.gauc):
+            with pytest.raises(ValidationError):
+                metric(rows)
+    ds, scores = split([(1, "q", "a", 0.1, 0), (1, "q", "b", 0.9, 1), (2, "q", "c", 0.5, 1)])
+    for bad in (np.r_[scores[:2], np.nan], scores[:2]):
+        with pytest.raises(ValidationError):
+            ev.evaluate_scores(ds, bad)
+    ds.click[2] = 2
     with pytest.raises(ValidationError):
-        ev.ScoredImpression(1, "q", "i", float("nan"), 0)
+        ev.evaluate_scores(ds, scores)
     with pytest.raises(ValidationError):
-        ev.ScoredImpression(1, "q", "i", 0.5, 2)
+        ev.auc_scores(np.array([0.1, 0.2]), np.array([1, 2]))
 
 
 # ---------------------------------------------------------------------------
@@ -181,18 +200,15 @@ def unit_index(vectors: dict[str, np.ndarray], d: int) -> EmbeddingIndex:
 def test_relevance_score_identical_and_orthogonal():
     e = np.array([1.0, 0.0])
     idx = unit_index({"q": e, "same": e, "orth": np.array([0.0, 1.0])}, 2)
-    same = [imp(1, 0.9, 1, q="q", item="same")]
-    orth = [imp(1, 0.9, 1, q="q", item="orth")]
-    assert ev.relevance_score(same, idx) == 1.0
-    assert ev.relevance_score(orth, idx) == 0.0
+    assert ev.relevance_score(*split([(1, "q", "same", 0.9, 1)]), idx) == 1.0
+    assert ev.relevance_score(*split([(1, "q", "orth", 0.9, 1)]), idx) == 0.0
 
 
 def test_relevance_score_hand_instance():
     idx = unit_index(
         {"q": np.array([1.0, 0.0]), "a": np.array([1.0, 0.0]), "b": np.array([0.6, 0.8])}, 2
     )
-    rows = [imp(1, 0.9, 1, q="q", item="a"), imp(1, 0.1, 0, q="q", item="b")]
-    got = ev.relevance_score(rows, idx)
+    got = ev.relevance_score(*split([(1, "q", "a", 0.9, 1), (1, "q", "b", 0.1, 0)]), idx)
     assert abs(got - 0.8) < 1e-12  # mean of cos 1.0 and cos 0.6
 
 
@@ -204,9 +220,9 @@ def test_relevance_score_top_10_interception():
     for k in range(15):
         cos = 1.0 if k < 10 else 0.0  # high-ranked items aligned, tail orthogonal
         vectors[f"i{k:02d}"] = np.array([cos, 1.0 - cos])
-        rows.append(imp(1, 15 - k, int(k == 0), q="q", item=f"i{k:02d}"))
+        rows.append((1, "q", f"i{k:02d}", 15 - k, int(k == 0)))
     idx = unit_index(vectors, d)
-    assert ev.relevance_score(rows, idx) == 1.0
+    assert ev.relevance_score(*split(rows), idx) == 1.0
 
 
 def test_relevance_score_short_list_denominator():
@@ -220,38 +236,34 @@ def test_relevance_score_short_list_denominator():
         },
         2,
     )
-    rows = [
-        imp(1, 0.9, 1, q="q", item="a"),
-        imp(1, 0.5, 0, q="q", item="b"),
-        imp(1, 0.1, 0, q="q", item="c"),
-    ]
-    assert abs(ev.relevance_score(rows, idx) - 1.0 / 3.0) < 1e-12
+    rows = [(1, "q", "a", 0.9, 1), (1, "q", "b", 0.5, 0), (1, "q", "c", 0.1, 0)]
+    assert abs(ev.relevance_score(*split(rows), idx) - 1.0 / 3.0) < 1e-12
 
 
-def test_top_ranked_tiebreak_is_item_text():
-    rows = [
-        imp(1, 0.5, 0, q="q", item="zzz"),
-        imp(1, 0.5, 0, q="q", item="aaa"),
-        imp(1, 0.9, 1, q="q", item="mmm"),
-    ]
-    ranked = ev.top_ranked(rows, k=2)
-    picked = [im.item_text for im in ranked["q"]]
-    assert picked == ["mmm", "aaa"]
+def test_relevance_score_tiebreak_is_item_text():
+    # ten rows tie behind "mmm" for the last nine places of the top 10; item
+    # text decides, so "zzz", listed first, is the one left out
+    e, orth = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    idx = unit_index({"q": e, "mmm": e, "zzz": orth, **{f"a{k}": e for k in range(9)}}, 2)
+    rows = [(1, "q", "zzz", 0.5, 0)] + [(1, "q", f"a{k}", 0.5, 0) for k in range(9)]
+    assert ev.relevance_score(*split(rows + [(1, "q", "mmm", 0.9, 1)]), idx) == 1.0
 
 
 def test_relevance_score_empty_rejected():
     idx = unit_index({}, 2)
     with pytest.raises(UndefinedMetricError):
-        ev.relevance_score([], idx)
+        ev.relevance_score(*split([]), idx)
 
 
-def test_top_ranked_merges_users_per_query():
-    # candidates shown to different users still rank within one query list
-    rows = [imp(1, 0.9, 1, q="q", item="a"), imp(2, 0.3, 0, q="q", item="b"),
-            imp(3, 0.5, 0, q="other", item="c")]
-    ranked = ev.top_ranked(rows)
-    assert set(ranked) == {"q", "other"}
-    assert [im.item_text for im in ranked["q"]] == ["a", "b"]
+def test_relevance_score_merges_users_per_query():
+    # one list per query text, whichever user saw it: user 2's ten rows rank
+    # behind user 1's in "q" and fall out of its top 10
+    e, orth = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    vectors = {"q": e, "other": e, "c": orth, **{f"a{k}": e for k in range(10)},
+               **{f"b{k}": orth for k in range(10)}}
+    rows = ([(1, "q", f"a{k}", 0.9, 1) for k in range(10)]
+            + [(2, "q", f"b{k}", 0.1, 0) for k in range(10)] + [(3, "other", "c", 0.5, 0)])
+    assert ev.relevance_score(*split(rows), unit_index(vectors, 2)) == 10 / 11
 
 
 # ---------------------------------------------------------------------------
@@ -260,20 +272,56 @@ def test_top_ranked_merges_users_per_query():
 
 def test_evaluate_scores_report_consistency():
     rng = np.random.default_rng(21)
-    rows = []
-    for uid in range(6):
-        for k in range(20):
-            rows.append(
-                imp(uid, float(rng.normal()), int(rng.random() < 0.3), q=f"q{k % 3}", item=f"i{k}")
-            )
-    report = ev.evaluate_scores(rows)
-    assert 0.0 <= report.auc <= 1.0
-    assert 0.0 <= report.gauc <= 1.0
+    rows = [(uid, f"q{k % 3}", f"i{k}", float(rng.normal()), int(rng.random() < 0.3))
+            for uid in range(6) for k in range(20)]
+    ds, scores = split(rows)
+    report = ev.evaluate_scores(ds, scores)
+    impressions = [ev.ScoredImpression(*r) for r in rows]
+    assert report.auc == ev.auc_scores(scores, ds.click) == ev.auc(impressions)
+    assert report.gauc == ev.gauc(impressions)
     assert report.relevance_score is None
-    assert report.n_impressions == len(rows)
-    num = sum(a * w for a, w in report.per_user.values())
-    den = sum(w for _, w in report.per_user.values())
-    assert abs(report.gauc - num / den) < 1e-15
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_metrics_equal_per_user_and_sorted_references(seed):
+    # heavy ties, many users, and (query, item) pairs shown to several users
+    rng = np.random.default_rng(seed)
+    n = 600
+    users = rng.integers(0, 40, size=n)
+    queries = [f"q{k}" for k in rng.integers(0, 6, size=n)]
+    items = [f"i{k}" for k in rng.integers(0, 15, size=n)]
+    rows = list(zip(users.tolist(), queries, items, (rng.integers(0, 6, size=n) / 5.0).tolist(),
+                    rng.integers(0, 2, size=n).tolist()))
+    ds, scores = split(rows)
+    clicks = ds.click
+    seen_by = {}
+    for u, q, i, _, _ in rows:
+        seen_by.setdefault((q, i), set()).add(u)
+    assert max(map(len, seen_by.values())) > 1
+    index = make_index(ds, 8, seed=seed)
+    report = ev.evaluate_scores(ds, scores, index)
+
+    # GAUC: brute-force AUC per user, weighted by count, summed in user order
+    table = []
+    for u in sorted(set(users.tolist())):
+        m = users == u
+        if 0 < clicks[m].sum() < m.sum():
+            table.append((ev.auc_scores_brute_force(scores[m], clicks[m]), int(m.sum())))
+    assert len(table) > 1
+    assert report.gauc == sum(a * w for a, w in table) / sum(w for _, w in table)
+    assert report.auc == ev.auc_scores_brute_force(scores, clicks)
+
+    # relevance: each query text's rows sorted by (-score, item text), top 10
+    total, count = 0.0, 0
+    for q in sorted(set(queries)):
+        ranked = sorted((r for r in rows if r[1] == q), key=lambda r: (-r[3], r[2]))
+        assert len(ranked) > ev.TOP_K
+        for _, _, item, _, _ in ranked[: ev.TOP_K]:
+            a, b = index.lookup_text(q), index.lookup_text(item)
+            norms = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
+            total += float(a @ b) / max(norms, ev.COSINE_FLOOR)
+            count += 1
+    assert report.relevance_score == total / count
 
 
 def small_corpus(n=300, seed=9):

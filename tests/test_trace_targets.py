@@ -165,6 +165,18 @@ def test_stages_read_each_split_once(tiny, tmp_path):
     assert train_spans.count("model.TrainingCache.__init__") == 1
 
 
+def test_eval_scores_and_evaluates_once_per_checkpoint(tiny, tmp_path):
+    # model.score_dataset_s and evaluation.metrics_s read these spans; a run
+    # that lacks either metric is refused as malformed
+    train = str(tiny["root"] / "data" / "train.tsv")  # the index holds its texts
+    argv = ["eval", "--checkpoint", f"a={tiny['model']}", "--checkpoint", f"b={tiny['model']}",
+            "--test-file", train, "--index", str(tiny["index"]), "--out-dir", str(tmp_path / "ev")]
+    [out] = traced_calls([argv])
+    assert out["rc"] == 0 and out["absent"] == []
+    assert out["spans"].count("model.score_dataset") == 2
+    assert out["spans"].count("evaluation.evaluate_scores") == 2
+
+
 def direct_children(out, parent, child):
     """Per span named `parent`, the number of its direct children named `child`."""
     names, parents = out["spans"], out["parents"]
