@@ -337,31 +337,20 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product for 1D/2D operands (numpy @ semantics)."""
+    """Matrix product of 2D operands."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2):
-        raise DimensionError("matmul supports 1D/2D operands only")
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise DimensionError("matmul supports 2D operands only")
     try:
         out_data = a.data @ b.data
     except ValueError as e:
         raise DimensionError(str(e)) from None
 
     def fn(g):
-        ad, bd = a.data, b.data
         if a.requires_grad:
-            if ad.ndim == 2 and bd.ndim == 1:  # (m,k) @ (k,) -> (m,)
-                _accum(a, np.outer(g, bd))
-            elif bd.ndim == 2:  # (k,) or (m,k) @ (k,n)
-                _accum(a, g @ bd.T)
-            else:  # 1D @ 1D -> scalar
-                _accum(a, g * bd)
+            _accum(a, g @ b.data.T)
         if b.requires_grad:
-            if ad.ndim == 1 and bd.ndim == 2:  # (k,) @ (k,n) -> (n,)
-                _accum(b, np.outer(ad, g))
-            elif ad.ndim == 2:  # (m,k) @ (k,) or (k,n)
-                _accum(b, ad.T @ g)
-            else:  # 1D @ 1D -> scalar
-                _accum(b, g * ad)
+            _accum(b, a.data.T @ g)
 
     return _make(out_data, (a, b), fn)
 
@@ -768,7 +757,7 @@ class DenseLayer:
 
 
 def affine(x, W, b) -> Tensor:
-    """x @ W + b for W[in,out]; x may be a single vector or a batch."""
+    """x @ W + b for a batch x[b,in] and W[in,out]."""
     return add(matmul(x, W), b)
 
 

@@ -7,11 +7,11 @@ quality, user sensitivity and the click probability live in a sidecar
 manifest that the model-visible dataset never contains; it is written for
 inspection, and no stage reads it.
 
-Dataset files store each distinct click history once, in a history table
-that rows refer to by id (see write_dataset); the per-row format before it
-is refused with a message to re-run `rankfuse gen-data`. read_dataset
-returns a split as a columnar Dataset, which the training cache builds from
-without a Sample per row.
+Dataset files store each click once: a log table holds the users' click
+logs, and each row names a window of it, its history (see write_dataset).
+Files of the two formats before it are refused with a message to re-run
+`rankfuse gen-data`. read_dataset returns a split as a columnar Dataset,
+which the training cache builds from without a Sample per row.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ from .errors import DatasetParseError, ValidationError
 
 HISTORY_LIMIT = 50
 DATASET_FORMAT = "rankfuse-dataset"
-DATASET_VERSION = 2
-# the columns of an impression row; history_id points into the history table
+DATASET_VERSION = 3
+# the columns of an impression row; a row's history is the window of
+# history_len clicks from history_start in the click table
 DATASET_COLUMNS = (
     "user_id",
     "query_text",
@@ -44,10 +45,12 @@ DATASET_COLUMNS = (
     "contains_query",
     "rsl",
     "click",
-    "history_id",
+    "history_start",
+    "history_len",
 )
 # the header of the first format, which wrote each row's whole history
-_OLD_DATASET_COLUMNS = DATASET_COLUMNS[:-1] + ("history",)
+_OLD_DATASET_COLUMNS = DATASET_COLUMNS[:-2] + ("history",)
+_REWRITE = "re-run `rankfuse gen-data` to rewrite it"
 SIDECAR_COLUMNS = ("relevance", "quality", "sensitivity", "true_click_prob")
 # texts travel in tab-separated files read with universal newlines (so \r
 # would end a line too), `rank` reads ^-paired history lines, and the
@@ -113,14 +116,17 @@ class Dataset(Sequence):
     Samples.
 
     - `user_id`, `item_id`, `category_match`, `contains_query`, `rsl`,
-      `click` and `history_id`: one int64 array each, one value per row;
+      `click`, `history_start` and `history_len`: one int64 array each, one
+      value per row;
     - `texts`: the distinct texts, and per row `query_text_id` and
       `item_text_id` into them;
     - the entry table as text ids `entry_query` and `entry_item`, and the
-      history table as CSR: history h holds the entry ids
-      `hist_entries[hist_off[h]:hist_off[h + 1]]`, newest first.
+      click table `clicks`: entry ids, the users' click logs one after
+      another, each newest first; log k spans `log_off[k]:log_off[k + 1]`.
+      Row r's history is the window
+      `clicks[history_start[r] : history_start[r] + history_len[r]]`.
 
-    `ds[i]` builds row i's Sample on each access; rows that share a history
+    `ds[i]` builds row i's Sample on each access; rows that share a window
     share one list, and histories that share an entry one tuple, so a
     sample's `history` is read-only. A Dataset is not a list, whose elements
     could be changed and drift from the columns; `==` compares it with any
@@ -128,25 +134,31 @@ class Dataset(Sequence):
     """
 
     def __init__(self, *, texts, query_text_id, item_text_id, entry_query, entry_item,
-                 hist_entries, hist_off, user_id, item_id, category_match, contains_query,
-                 rsl, click, history_id):
+                 clicks, log_off, user_id, item_id, category_match, contains_query,
+                 rsl, click, history_start, history_len):
         self.texts = texts
         self.query_text_id, self.item_text_id = query_text_id, item_text_id
         self.entry_query, self.entry_item = entry_query, entry_item
-        self.hist_entries, self.hist_off = hist_entries, hist_off
+        self.clicks, self.log_off = clicks, log_off
         self.user_id, self.item_id = user_id, item_id
         self.category_match, self.contains_query = category_match, contains_query
-        self.rsl, self.click, self.history_id = rsl, click, history_id
+        self.rsl, self.click = rsl, click
+        self.history_start, self.history_len = history_start, history_len
         self._entries: list[tuple[str, str]] | None = None
-        self._histories: dict[int, list[tuple[str, str]]] = {}
+        self._histories: dict[tuple[int, int], list[tuple[str, str]]] = {}
 
     @classmethod
     def from_samples(cls, samples) -> "Dataset":
         """The columns of a sequence of Samples; a Dataset is returned as it is.
 
-        Texts, entries and histories are numbered by first appearance. A
-        history list is looked up by identity first, so one that many samples
-        share is hashed once; equal histories get one id.
+        Each history becomes a window of a click log, in row order: a list
+        object already seen keeps its window (looked up by identity, so a
+        shared list is hashed once); a one-click shift of the user's previous
+        history grows that window's log, if the window ends at the log's
+        newest click (a user's first click starts a log); a history equal to
+        one that started a log takes its window; any other starts a log. A
+        generated split thus stores each click once. Texts and entries are
+        numbered by first appearance.
         """
         if isinstance(samples, Dataset):
             return samples
@@ -154,12 +166,38 @@ class Dataset(Sequence):
         n = len(samples)
         queries = [s.query_text for s in samples]
         items = [s.item_text for s in samples]
-        histories = [s.history for s in samples]
-        # one list object per distinct id; the samples keep every list alive
-        objects = dict(zip(map(id, histories), histories))
-        by_value: dict[tuple, int] = {}
-        number = {k: by_value.setdefault(tuple(h), len(by_value)) for k, h in objects.items()}
-        entry_id = _numbered(itertools.chain.from_iterable(by_value))
+        logs: list[list[tuple[str, str]]] = []  # each oldest first
+        # a window is (log, end, length): the log's clicks [end - length, end)
+        no_history = ([], (-1, 0, 0))
+        window_of, started, last, windows = {}, {}, {}, []  # last: per user, (history, window)
+        for u, h in zip(map(attrgetter("user_id"), samples), map(attrgetter("history"), samples)):
+            w = window_of.get(id(h))
+            if w is None:
+                prev, (k, end, _) = last.get(u, no_history)
+                if not h:
+                    w = no_history[1]
+                elif (len(h) == min(len(prev) + 1, HISTORY_LIMIT) and h[1:] == prev[: len(h) - 1]
+                      and (k < 0 or end == len(logs[k]))):
+                    if k < 0:
+                        k, end = len(logs), 0
+                        logs.append([])
+                    logs[k].append(h[0])
+                    w = (k, end + 1, len(h))
+                else:
+                    w = started.setdefault(tuple(h), (len(logs), len(h), len(h)))
+                    if w[0] == len(logs):
+                        logs.append(list(reversed(h)))
+                window_of[id(h)] = w
+            last[u] = (h, w)
+            windows.append(w)
+        log_off = np.zeros(len(logs) + 1, dtype=np.int64)
+        np.cumsum(list(map(len, logs)), out=log_off[1:])
+        log, end, history_len = np.fromiter(itertools.chain.from_iterable(windows), dtype=np.int64,
+                                            count=3 * n).reshape(-1, 3).T
+        # the logs are stored newest first, so a window starts `end` clicks
+        # before its log's end; the empty window (log -1) starts at 0
+        flat = [e for clicks in logs for e in reversed(clicks)]
+        entry_id = _numbered(flat)
         text_id = _numbered(itertools.chain(
             itertools.chain.from_iterable(zip(queries, items)),
             itertools.chain.from_iterable(entry_id),
@@ -175,36 +213,35 @@ class Dataset(Sequence):
         except OverflowError:
             raise ValidationError("a sample's id or label is outside the int64 range") from None
         entries = ids(text_id, itertools.chain.from_iterable(entry_id), 2 * len(entry_id))
-        hist_off = np.zeros(len(by_value) + 1, dtype=np.int64)
-        np.cumsum(list(map(len, by_value)), out=hist_off[1:])
         return cls(
             texts=list(text_id), query_text_id=ids(text_id, queries, n),
             item_text_id=ids(text_id, items, n),
             entry_query=entries[0::2], entry_item=entries[1::2],
-            hist_entries=ids(entry_id, itertools.chain.from_iterable(by_value), int(hist_off[-1])),
-            hist_off=hist_off, history_id=ids(number, map(id, histories), n), **ints,
+            clicks=ids(entry_id, flat, len(flat)), log_off=log_off,
+            history_start=log_off[log + 1] - end, history_len=history_len, **ints,
         )
 
     def __len__(self) -> int:
         return self.user_id.shape[0]
 
-    def _history(self, h: int) -> list[tuple[str, str]]:
-        history = self._histories.get(h)
+    def _history(self, start: int, length: int) -> list[tuple[str, str]]:
+        history = self._histories.get((start, length))
         if history is None:
             if self._entries is None:
                 t = self.texts
                 self._entries = [(t[q], t[i]) for q, i in
                                  zip(self.entry_query.tolist(), self.entry_item.tolist())]
-            ids = self.hist_entries[self.hist_off[h] : self.hist_off[h + 1]].tolist()
-            history = self._histories[h] = [self._entries[e] for e in ids]
+            ids = self.clicks[start : start + length].tolist()
+            history = self._histories[start, length] = [self._entries[e] for e in ids]
         return history
 
     def __iter__(self):
         t = self.texts
         cols = (self.user_id, self.query_text_id, self.item_id, self.item_text_id,
-                self.category_match, self.contains_query, self.rsl, self.click, self.history_id)
-        for u, q, i, it, cm, cq, rsl, click, h in zip(*(c.tolist() for c in cols)):
-            yield Sample(u, t[q], i, t[it], cm, cq, rsl, click, self._history(h))
+                self.category_match, self.contains_query, self.rsl, self.click,
+                self.history_start, self.history_len)
+        for u, q, i, it, cm, cq, rsl, click, a, n in zip(*(c.tolist() for c in cols)):
+            yield Sample(u, t[q], i, t[it], cm, cq, rsl, click, self._history(a, n))
 
     def __getitem__(self, key):
         if isinstance(key, slice):
@@ -214,7 +251,8 @@ class Dataset(Sequence):
         return Sample(
             int(self.user_id[k]), t[self.query_text_id[k]], int(self.item_id[k]),
             t[self.item_text_id[k]], int(self.category_match[k]), int(self.contains_query[k]),
-            int(self.rsl[k]), int(self.click[k]), self._history(int(self.history_id[k])),
+            int(self.rsl[k]), int(self.click[k]),
+            self._history(int(self.history_start[k]), int(self.history_len[k])),
         )
 
     def __eq__(self, other):
@@ -562,47 +600,46 @@ def _check_sample(s: Sample) -> None:
 def write_dataset(samples: list[Sample], path: str) -> None:
     """Write the model-visible records; truth fields are left out.
 
-    Each distinct history is written once and rows refer to it by id:
-    - line 1, the header: `rankfuse-dataset`, `version=2`, `entries=<E>` and
-      `histories=<H>`, tab-separated;
+    Each click is written once, in its user's click log, and a row names
+    its history as a window of the logs:
+    - line 1, the header: `rankfuse-dataset`, `version=3`, `entries=<E>`,
+      `logs=<K>` and `rows=<N>`, tab-separated;
     - E lines, the entry table: `<query>\t<item>`; entry ids count from 0;
-    - H lines, the history table: entry ids joined by single spaces, newest
-      first (an empty line is the empty history); history ids count from 0;
-    - one row per sample: the DATASET_COLUMNS, tab-separated.
-    Ids are given in order of first appearance, so the bytes depend only on
-    `samples`. Every sample is checked before the file is opened; of several
-    faulty samples, the first raises.
+    - K lines, the log table: entry ids joined by single spaces, newest
+      first; the lines one after another are the click table;
+    - N rows, one per sample: the DATASET_COLUMNS, tab-separated. A row's
+      history is the `history_len` clicks from click `history_start`.
+    Logs and ids follow first appearance, so the bytes depend only on
+    `samples`. Every sample is checked before the file is opened; of
+    several faulty samples, the first raises.
 
     The file is written from the columns of Dataset.from_samples (given an
-    iterator, so that a Dataset read from a file is numbered afresh too).
+    iterator, so that a Dataset read from a file is laid out afresh too).
     """
     ds = Dataset.from_samples(iter(samples))
     t = ds.texts
-    lengths = np.diff(ds.hist_off)
     empty = t.index("") if "" in t else -1
     joined = "".join(t)
-    if (any(ch in joined for ch in FORBIDDEN_CHARS) or lengths.max(initial=0) > HISTORY_LIMIT
+    if (any(ch in joined for ch in FORBIDDEN_CHARS) or ds.history_len.max(initial=0) > HISTORY_LIMIT
             or (ds.entry_query == empty).any() or (ds.entry_item == empty).any()):
         for s in ds:
             _check_sample(s)
     # entry ids are 0..E-1, so each is made a str once
     numerals = list(map(str, range(ds.entry_query.size)))
-    ids = list(map(numerals.__getitem__, ds.hist_entries.tolist()))
-    bounds = ds.hist_off.tolist()
+    ids = list(map(numerals.__getitem__, ds.clicks.tolist()))
+    bounds = ds.log_off.tolist()
     text = t.__getitem__
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"{DATASET_FORMAT}\tversion={DATASET_VERSION}"
-            f"\tentries={ds.entry_query.size}\thistories={lengths.size}\n"
-        )
+        fh.write(f"{DATASET_FORMAT}\tversion={DATASET_VERSION}\tentries={ds.entry_query.size}"
+                 f"\tlogs={len(bounds) - 1}\trows={len(ds)}\n")
         fh.writelines(map("%s\t%s\n".__mod__, zip(map(text, ds.entry_query.tolist()),
                                                    map(text, ds.entry_item.tolist()))))
         fh.writelines(" ".join(ids[a:b]) + "\n" for a, b in zip(bounds, bounds[1:]))
-        fh.writelines(map("%d\t%s\t%d\t%s\t%d\t%d\t%d\t%d\t%d\n".__mod__, zip(
+        fh.writelines(map("%d\t%s\t%d\t%s\t%d\t%d\t%d\t%d\t%d\t%d\n".__mod__, zip(
             ds.user_id.tolist(), map(text, ds.query_text_id.tolist()), ds.item_id.tolist(),
             map(text, ds.item_text_id.tolist()), ds.category_match.tolist(),
             ds.contains_query.tolist(), ds.rsl.tolist(), ds.click.tolist(),
-            ds.history_id.tolist(),
+            ds.history_start.tolist(), ds.history_len.tolist(),
         )))
 
 
@@ -639,20 +676,22 @@ def _check_field(text: str, what: str, line_no: int) -> None:
         raise DatasetParseError(line_no, f"{what} contains forbidden character")
 
 
-def _parse_header(line: str) -> tuple[int, int]:
-    """(entries, histories) from a dataset's first line."""
+def _parse_header(line: str) -> tuple[int, int, int]:
+    """(entries, logs, rows) from a dataset's first line."""
     parts = line.rstrip("\n").split("\t")
     if parts == list(_OLD_DATASET_COLUMNS):
-        raise DatasetParseError(
-            1, "old dataset format (a whole history in every row); "
-            "re-run `rankfuse gen-data` to rewrite it"
-        )
-    if len(parts) != 4 or parts[0] != DATASET_FORMAT:
+        raise DatasetParseError(1, f"old dataset format (a whole history in every row); {_REWRITE}")
+    if len(parts) < 2 or parts[0] != DATASET_FORMAT:
         raise DatasetParseError(1, "bad dataset header")
+    if parts[1] == "version=2":
+        raise DatasetParseError(1, f"old dataset version=2 (a table of whole histories); {_REWRITE}")
     if parts[1] != f"version={DATASET_VERSION}":
         raise DatasetParseError(1, f"unsupported dataset {parts[1]!r}")
+    keys = ("entries", "logs", "rows")
+    if len(parts) != 2 + len(keys):
+        raise DatasetParseError(1, "bad dataset header")
     counts = []
-    for part, key in zip(parts[2:], ("entries", "histories")):
+    for part, key in zip(parts[2:], keys):
         name, _, value = part.partition("=")
         if name != key:
             raise DatasetParseError(1, f"expected {key}=<count>, got {part!r}")
@@ -660,7 +699,7 @@ def _parse_header(line: str) -> tuple[int, int]:
         if n < 0:
             raise DatasetParseError(1, f"negative {key} count {n}")
         counts.append(n)
-    return counts[0], counts[1]
+    return counts[0], counts[1], counts[2]
 
 
 # ---------------------------------------------------------------------------
@@ -726,25 +765,19 @@ def _parse_entries(lines: list[str], first: int) -> tuple[list[str], list[str]]:
     return queries, items
 
 
-def _parse_histories(lines: list[str], first: int, n_entries: int):
-    """The history table as CSR (entry ids, offsets); lines[0] is line `first`."""
+def _logs_slow(lines: list[str], first: int, n_entries: int):
+    """The log table as CSR (entry ids, offsets), line by line; lines[0] is
+    line `first`."""
+    return kernels.ragged([[_parse_id(x, "entry id", line_no, n_entries) for x in line.split(" ")]
+                           if line else [] for line_no, line in enumerate(lines, start=first)])
+
+
+def _parse_logs(lines: list[str], first: int, n_entries: int):
+    """The log table as CSR (entry ids, offsets); lines[0] is line `first`."""
     fast = _canonical_ids(lines, n_entries - 1)
     if fast is None:
-        ids = []
-        for line_no, line in enumerate(lines, start=first):
-            ids.append([_parse_id(x, "entry id", line_no, n_entries)
-                        for x in line.split(" ")] if line else [])
-            if len(ids[-1]) > HISTORY_LIMIT:
-                raise DatasetParseError(line_no, f"history longer than {HISTORY_LIMIT}")
-        return kernels.ragged(ids)
-    # every id is good, so the first long line is the first fault
-    flat, lengths = fast
-    long = np.flatnonzero(lengths > HISTORY_LIMIT)
-    if long.size:
-        raise DatasetParseError(first + int(long[0]), f"history longer than {HISTORY_LIMIT}")
-    offsets = np.zeros(len(lines) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    return flat, offsets
+        return _logs_slow(lines, first, n_entries)
+    return fast[0], np.concatenate(([0], np.cumsum(fast[1])))
 
 
 def _ints_in(fields: list[str], lo: int, hi: int):
@@ -755,30 +788,30 @@ def _ints_in(fields: list[str], lo: int, hi: int):
     return parsed[0]
 
 
-def _rows_fast(lines: list[str], n_histories: int):
-    """The nine columns of the impression rows, or None."""
+def _rows_fast(lines: list[str], n_clicks: int):
+    """The ten columns of the impression rows, or None."""
     n_cols = len(DATASET_COLUMNS)
     if not lines:
         return [[] for _ in DATASET_COLUMNS]
     if list(map(str.count, lines, itertools.repeat("\t"))).count(n_cols - 1) != len(lines):
         return None
     fields = "\t".join(lines).split("\t")
-    user_id, qtext, item_id, itext, cm, cq, rsl, click, hist = (
+    user_id, qtext, item_id, itext, cm, cq, rsl, click, start, length = (
         fields[k::n_cols] for k in range(n_cols)
     )
     if any(ch in "\n".join(dict.fromkeys(qtext + itext)) for ch in _FIELD_FORBIDDEN):
         return None
     ints = [_ints_in(col, lo, hi) for col, lo, hi in (
         (user_id, 0, _INT64_MAX), (item_id, 0, _INT64_MAX), (cm, 0, 1), (cq, 0, 1),
-        (rsl, 1, 4), (click, 0, 1), (hist, 0, n_histories - 1),
+        (rsl, 1, 4), (click, 0, 1), (start, 0, n_clicks), (length, 0, HISTORY_LIMIT),
     )]
-    if any(v is None for v in ints):
+    if any(v is None for v in ints) or (ints[-2] + ints[-1] > n_clicks).any():
         return None
     return [ints[0], qtext, ints[1], itext, *ints[2:]]
 
 
-def _rows_slow(lines: list[str], first: int, n_histories: int):
-    """The nine columns, row by row; raises at the first faulty row."""
+def _rows_slow(lines: list[str], first: int, n_clicks: int):
+    """The ten columns, row by row; raises at the first faulty row."""
     cols: list[list] = [[] for _ in DATASET_COLUMNS]
     checked: set[str] = set()
     for line_no, line in enumerate(lines, start=first):
@@ -787,7 +820,7 @@ def _rows_slow(lines: list[str], first: int, n_histories: int):
             raise DatasetParseError(
                 line_no, f"expected {len(DATASET_COLUMNS)} columns, got {len(parts)}"
             )
-        user_id, qtext, item_id, itext, cm, cq, rsl, click, hist = parts
+        user_id, qtext, item_id, itext, cm, cq, rsl, click, start, length = parts
         for text, what in ((qtext, "query_text"), (itext, "item_text")):
             if text not in checked:
                 _check_field(text, what, line_no)
@@ -801,8 +834,12 @@ def _rows_slow(lines: list[str], first: int, n_histories: int):
             parse_int(cq, "contains_query", line_no, {0, 1}),
             parse_int(rsl, "rsl", line_no, {1, 2, 3, 4}),
             parse_int(click, "click", line_no, {0, 1}),
-            _parse_id(hist, "history_id", line_no, n_histories),
+            _parse_id(start, "history_start", line_no, n_clicks + 1),
+            _parse_id(length, "history_len", line_no, HISTORY_LIMIT + 1),
         )
+        if values[-2] + values[-1] > n_clicks:
+            raise DatasetParseError(line_no, f"history window of {values[-1]} clicks from "
+                                             f"{values[-2]} ends past the {n_clicks} clicks")
         for col, v in zip(cols, values):
             col.append(v)
     return cols
@@ -813,28 +850,35 @@ def read_dataset(path) -> Dataset:
     truth fields).
 
     Every error names the file and its 1-based line; in a file with several
-    faults, the first in file order.
+    faults, the first in file order. A file with fewer or more rows than its
+    header counts is refused, so a file cut at a line boundary does not pass
+    as a shorter split.
     """
     with open_text(path) as fh:
         lines = fh.read().split("\n")
         if lines[-1] == "":
             lines.pop()  # the newline that ends the last line
-        n_entries, n_histories = _parse_header(lines[0] if lines else "")
+        n_entries, n_logs, n_rows = _parse_header(lines[0] if lines else "")
         at = 1
         queries, items = _parse_entries(lines[at : at + n_entries], at + 1)
         if len(queries) < n_entries:
             raise DatasetParseError(len(lines) + 1, "file ends inside the entry table")
         at += n_entries
-        hist_lines = lines[at : at + n_histories]
-        hist_entries, hist_off = _parse_histories(hist_lines, at + 1, n_entries)
-        if len(hist_lines) < n_histories:
-            raise DatasetParseError(len(lines) + 1, "file ends inside the history table")
-        at += n_histories
-        rows = lines[at:]
-        cols = _rows_fast(rows, n_histories)
+        log_lines = lines[at : at + n_logs]
+        clicks, log_off = _parse_logs(log_lines, at + 1, n_entries)
+        if len(log_lines) < n_logs:
+            raise DatasetParseError(len(lines) + 1, "file ends inside the log table")
+        at += n_logs
+        rows = lines[at : at + n_rows]
+        cols = _rows_fast(rows, clicks.size)
         if cols is None:
-            cols = _rows_slow(rows, at + 1, n_histories)
-    user_id, qtext, item_id, itext, cm, cq, rsl, click, hist = cols
+            cols = _rows_slow(rows, at + 1, clicks.size)
+        if len(rows) < n_rows:
+            raise DatasetParseError(len(lines) + 1, f"file ends after {len(rows)} of its {n_rows} rows")
+        if len(lines) > at + n_rows:
+            raise DatasetParseError(at + n_rows + 1, f"more rows than the header's rows={n_rows}")
+    ints = dict(zip(DATASET_COLUMNS, cols))
+    qtext, itext = ints.pop("query_text"), ints.pop("item_text")
     # one str object per distinct text, shared by the rows and entries
     texts = list(dict.fromkeys(itertools.chain(qtext, itext, queries, items)))
     text_id = dict(zip(texts, range(len(texts))))
@@ -842,25 +886,9 @@ def read_dataset(path) -> Dataset:
     def ids(strings):
         return np.fromiter(map(text_id.__getitem__, strings), dtype=np.int64, count=len(strings))
 
-    def ints(col):
-        return np.asarray(col, dtype=np.int64).reshape(-1)
-
-    return Dataset(
-        texts=texts,
-        query_text_id=ids(qtext),
-        item_text_id=ids(itext),
-        entry_query=ids(queries),
-        entry_item=ids(items),
-        hist_entries=hist_entries,
-        hist_off=hist_off,
-        user_id=ints(user_id),
-        item_id=ints(item_id),
-        category_match=ints(cm),
-        contains_query=ints(cq),
-        rsl=ints(rsl),
-        click=ints(click),
-        history_id=ints(hist),
-    )
+    return Dataset(texts=texts, query_text_id=ids(qtext), item_text_id=ids(itext),
+                   entry_query=ids(queries), entry_item=ids(items), clicks=clicks, log_off=log_off,
+                   **{name: np.asarray(col, dtype=np.int64).reshape(-1) for name, col in ints.items()})
 
 
 def write_sidecar(samples: list[Sample], path: str) -> None:

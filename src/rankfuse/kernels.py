@@ -1,6 +1,6 @@
 """Embedding-bag kernels: segment means and their gradient, row
-scatter-adds, history padding, the CSR helpers that build and gather bags,
-and the one sort-based dedupe.
+scatter-adds, history padding, the helpers that build bags and find
+segments by start and length, and the one sort-based dedupe.
 
 Bags are offset-delimited: ``ids`` is a flat row-index array and ``offsets``
 (length m+1) delimits the m segments. Every sum here has the bits of a
@@ -145,18 +145,17 @@ def ragged(lists) -> tuple[np.ndarray, np.ndarray]:
     return flat, offsets
 
 
-def segment_positions(offsets: np.ndarray, segments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where the chosen segments of a CSR sit: (positions in the flat array,
-    concatenated in the order of `segments`; their offsets)."""
-    starts = offsets[segments]
-    lengths = offsets[segments + 1] - starts
+def segment_positions(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the segments that start at `starts` with `lengths`, in a
+    flat array: (the positions, concatenated in order; their offsets)."""
     out = np.zeros(lengths.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=out[1:])
-    # entry t of the k-th chosen segment sits at starts[k] + t
+    # entry t of the k-th segment sits at starts[k] + t
     return np.repeat(starts - out[:-1], lengths) + np.arange(out[-1]), out
 
 
 def gather_segments(flat: np.ndarray, offsets: np.ndarray, segments: np.ndarray):
     """The chosen segments of the CSR (flat, offsets), as a CSR of their own."""
-    positions, out = segment_positions(offsets, segments)
+    starts = offsets[segments]
+    positions, out = segment_positions(starts, offsets[segments + 1] - starts)
     return flat[positions], out

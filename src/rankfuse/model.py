@@ -210,7 +210,7 @@ class Batch:
     group_keys: np.ndarray
     hist_rows: np.ndarray
     hist_mask: np.ndarray
-    # [m, L] positions in the cache's history entry arrays, 0 in padding
+    # [m, L] positions in the cache's click arrays, 0 in padding
     hist_slots: np.ndarray
     cache: "TrainingCache" = field(repr=False)
 
@@ -227,36 +227,18 @@ class Batch:
         return self.cache.pair_mat[self.cache.hist_r_rows[self.hist_slots]]
 
 
-def _distinct_histories(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, its history's number among the histories the rows use,
-    numbered by first use, with equal histories merged; and per number, the
-    dataset's id of that history."""
-    # entries with the same two texts are equal, so they get one key
-    _, entry_key = kernels.distinct(ds.entry_query * len(ds.texts) + ds.entry_item)
-    blob = entry_key[ds.hist_entries].tobytes()
-    bounds = (ds.hist_off * 8).tolist()
-    held, first_row = np.unique(ds.history_id, return_index=True)
-    number = np.zeros(len(bounds) - 1, dtype=np.int64)
-    seen: dict[bytes, int] = {}
-    used = []
-    for h in held[np.argsort(first_row)].tolist():
-        k = number[h] = seen.setdefault(blob[bounds[h] : bounds[h + 1]], len(seen))
-        if k == len(used):
-            used.append(h)
-    return number[ds.history_id], np.array(used, dtype=np.int64)
-
-
 class TrainingCache:
     """Precomputed ids and frozen embeddings for repeated batch slicing.
 
     Built from a Dataset's columns; any other sequence of Samples is first
     turned into one (Dataset.from_samples). Slots, token bags and embedding
-    rows are computed once per distinct text, history rows once per distinct
-    history, and per-row arrays are gathered from them, with no Python loop
-    over rows. Unique texts and pairs are looked up in sorted order, so
-    encoder fallbacks are deterministic. Each distinct history is stored
-    once, ragged; a batch pads its histories' entry positions and gathers
-    their embeddings only when read.
+    rows are computed once per distinct text, history rows once per click of
+    the dataset's click table, and per-row arrays are gathered from them,
+    with no Python loop over rows and no history hashed. Unique texts and
+    pairs are looked up in sorted order, so encoder fallbacks are
+    deterministic. A row's history is its window of the click table; a
+    batch pads its windows' positions and gathers their embeddings only
+    when read.
     """
 
     def __init__(self, samples, index: EmbeddingIndex, config: ModelConfig):
@@ -269,10 +251,9 @@ class TrainingCache:
         self.n = len(ds)
         texts, n_texts = ds.texts, len(ds.texts)
 
-        # distinct histories as CSR: history h spans hist_off[h]:hist_off[h + 1]
-        self.hist_of, used = _distinct_histories(ds)
-        entries, self.hist_off = kernels.gather_segments(ds.hist_entries, ds.hist_off, used)
-        entry_q, entry_i = ds.entry_query[entries], ds.entry_item[entries]
+        # row r's history is the window of hist_len[r] clicks from hist_start[r]
+        self.hist_start, self.hist_len = ds.history_start, ds.history_len
+        entry_q, entry_i = ds.entry_query[ds.clicks], ds.entry_item[ds.clicks]
 
         # a text's rank in sorted order; rank(q) * n_texts + rank(i) sorts
         # pairs as their (query, item) tuples sort
@@ -327,10 +308,11 @@ class TrainingCache:
         qtok_flat, qtok_off = kernels.gather_segments(self.tok_flat, self.tok_off, self.qbag[rows])
         itok_flat, itok_off = kernels.gather_segments(self.tok_flat, self.tok_off, self.ibag[rows])
 
-        hist = self.hist_of[rows]
-        hist_rows = np.flatnonzero(self.hist_off[hist + 1] > self.hist_off[hist])
-        flat, off = kernels.segment_positions(self.hist_off, hist[hist_rows])
-        slots, mask = kernels.pad_segments(flat, off, int(np.diff(off).max(initial=0)))
+        lengths = self.hist_len[rows]
+        hist_rows = np.flatnonzero(lengths)
+        lengths = lengths[hist_rows]
+        flat, off = kernels.segment_positions(self.hist_start[rows[hist_rows]], lengths)
+        slots, mask = kernels.pad_segments(flat, off, int(lengths.max(initial=0)))
 
         return Batch(
             size=rows.size,
@@ -565,7 +547,7 @@ def sample_for_scoring(
 ) -> Sample:
     """Inference-time record: labels are placeholders, flags recomputed.
     The sample holds `history` itself, not a copy, so the candidates of one
-    request share it (and the cache hashes it once)."""
+    request share it (and Dataset.from_samples looks it up once)."""
     cm, cq = derive_flags(query_text, item_text)
     return Sample(
         user_id=user_id,

@@ -168,7 +168,7 @@ def test_kl_errors():
 
 def test_affine_identity():
     rng = np.random.default_rng(5)
-    x = ad.Tensor(rng.normal(size=4))
+    x = ad.Tensor(rng.normal(size=(1, 4)))
     W = ad.Tensor(np.eye(4))
     b = ad.Tensor(np.zeros(4))
     assert np.allclose(ad.affine(x, W, b).data, x.data, atol=0)
@@ -187,8 +187,8 @@ def test_mlp_hand_value():
         ad.Parameter("b2", np.array([0.0]), "base"),
         "linear",
     )
-    out = ad.mlp_apply([l1, l2], ad.Tensor([1.0, 2.0]))
-    assert out.item() == 17.0
+    out = ad.mlp_apply([l1, l2], ad.Tensor([[1.0, 2.0]]))
+    assert out.data.shape == (1, 1) and out.item() == 17.0
 
 
 def test_unknown_activation_rejected():
@@ -408,13 +408,17 @@ def test_grad_matmul_variants():
     rng = np.random.default_rng(11)
     A = _param(rng, (3, 4), "A")
     B = _param(rng, (4, 2), "B")
-    v = _param(rng, (4,), "v")
+    v = _param(rng, (1, 4), "v")  # one-row batch
+    c = _param(rng, (4, 1), "c")  # one-column weight
     p1 = ad.Tensor(rng.normal(size=(3, 2)))
     _fd(lambda: (ad.matmul(A, B) * p1).sum(), [A, B])
-    p2 = ad.Tensor(rng.normal(size=(3,)))
-    _fd(lambda: (ad.matmul(A, v) * p2).sum(), [A, v])
-    p3 = ad.Tensor(rng.normal(size=(2,)))
+    p2 = ad.Tensor(rng.normal(size=(3, 1)))
+    _fd(lambda: (ad.matmul(A, c) * p2).sum(), [A, c])
+    p3 = ad.Tensor(rng.normal(size=(1, 2)))
     _fd(lambda: (ad.matmul(v, B) * p3).sum(), [v, B])
+    for x, w in ((v.data[0], B), (A, c.data[:, 0]), (np.ones((2, 3, 4)), B)):
+        with pytest.raises(DimensionError):
+            ad.matmul(x, w)
 
 
 def test_grad_elementwise_unary():

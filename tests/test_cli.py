@@ -122,6 +122,34 @@ def test_old_dataset_format_exits_1_naming_gen_data(tmp_path, capsys):
     assert err.startswith(f"error: {old}: line 1: ") and "rankfuse gen-data" in err, err
 
 
+def test_version_2_dataset_exits_1_naming_gen_data(tmp_path, capsys):
+    old = tmp_path / "v2.tsv"
+    old.write_text(
+        "rankfuse-dataset\tversion=2\tentries=1\thistories=1\n"
+        "cat a\tcat a c\n"
+        "0\n"
+        "3\tcat a\t7\tcat a b\t1\t1\t4\t1\t0\n",
+        encoding="utf-8",
+    )
+    capsys.readouterr()
+    code = main(["encoder", "pretrain", "--train-file", str(old), "--out-dir", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1, err
+    assert err[0].startswith(f"error: {old}: line 1: ") and "rankfuse gen-data" in err[0], err
+
+
+def test_split_cut_at_a_line_boundary_exits_1(pipe, tmp_path, capsys):
+    cut = tmp_path / "train.tsv"
+    lines = pipe["train"].read_text(encoding="utf-8").splitlines(keepends=True)
+    cut.write_text("".join(lines[:-100]), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["encoder", "pretrain", "--train-file", str(cut), "--out-dir", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1, err
+    assert err[0].startswith(f"error: {cut}: line {len(lines) - 99}: file ends after "), err
+    assert not (tmp_path / "o" / "encoder.ckpt").exists()
+
+
 def test_gen_data_refuses_non_empty(pipe, tmp_path):
     out = tmp_path / "occupied"
     out.mkdir()
@@ -886,7 +914,7 @@ def test_unreadable_config_exits_1(tmp_path, capsys, kind, reason):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {config}: "), lines
     assert reason in lines[0]
-    assert not (tmp_path / "o").exists()
+    assert not (tmp_path / "o" / "encoder.ckpt").exists()
 
 
 @pytest.mark.parametrize("command,key,bad,edge", [

@@ -230,13 +230,13 @@ def test_malformed_line_reports_number(tmp_path):
     samples, _ = small_corpus(n_impressions=5)
     path = tmp_path / "data.tsv"
     dt.write_dataset(samples, str(path))
-    bad_line = len(path.read_text(encoding="utf-8").splitlines()) + 1
-    with open(path, "a") as fh:
-        fh.write("not\tenough\tcolumns\n")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    bad_line = len(lines)
+    path.write_text("\n".join(lines[:-1] + ["not\tenough\tcolumns"]) + "\n", encoding="utf-8")
     with pytest.raises(DatasetParseError) as err:
         dt.read_dataset(str(path))
     assert err.value.line_no == bad_line
-    assert str(err.value).startswith(f"{path}: line {bad_line}: ")
+    assert str(err.value).startswith(f"{path}: line {bad_line}: expected 10 columns")
 
     bad = tmp_path / "bad.tsv"
     bad.write_text("wrong header\n")
@@ -280,9 +280,42 @@ def test_rows_share_history_objects(tmp_path):
     for history in by_value:
         for entry in history:
             assert entries.setdefault(entry, entry) is entry
-    # the file holds each distinct history once
+    # the file holds one click log per user who clicked
     head = path.read_text(encoding="utf-8").splitlines()[0]
-    assert head == f"rankfuse-dataset\tversion=2\tentries={len(entries)}\thistories={len(by_value)}"
+    logs = len({s.user_id for s in samples if s.history})
+    assert head == (f"rankfuse-dataset\tversion=3\tentries={len(entries)}\tlogs={logs}"
+                    f"\trows={len(samples)}")
+
+
+def replayed_clicks(rows):
+    """The clicks a split holds as one log per user: each user's first
+    history, plus one click per later history, which must be a one-click
+    shift of the user's previous one."""
+    count, previous = 0, {}
+    for s in rows:
+        prev = previous.get(s.user_id)
+        if prev is None:
+            count += len(s.history)
+        elif s.history != prev:
+            assert s.history == ([s.history[0]] + prev)[: dt.HISTORY_LIMIT]
+            count += 1
+        previous[s.user_id] = s.history
+    return count
+
+
+def test_generated_split_stores_each_click_once(tmp_path):
+    # the benchmark's longhist shape: 15 users, so nearly every row has a long history
+    samples, _ = dt.generate_corpus(dt.GeneratorConfig(seed=1, n_users=15, n_impressions=6000,
+                                                       n_items=2000))
+    for n, split in enumerate(dt.split_corpus(samples)):
+        path = tmp_path / f"{n}.tsv"
+        dt.write_dataset(split, str(path))
+        ds = dt.read_dataset(str(path))
+        assert ds == split and ds.clicks.size == replayed_clicks(split)
+        if n == 0:
+            # one stored copy per distinct history held 45,825 entry ids
+            distinct = {tuple(s.history) for s in split}
+            assert sum(map(len, distinct)) == 45825 and 30 * ds.clicks.size <= 45825
 
 
 # any text the writer accepts, non-ASCII included
@@ -325,38 +358,44 @@ def test_dataset_roundtrip_property(tmp_path, samples):
 
 # a canonical file: write_dataset gives these bytes back
 SMALL_FILE = (
-    "rankfuse-dataset\tversion=2\tentries=2\thistories=2\n"
+    "rankfuse-dataset\tversion=3\tentries=2\tlogs=2\trows=2\n"
     "cat c\tcat c d\n"
     "cat a\tcat a b\n"
     "0 1\n"
-    "\n"
-    "3\tcat a\t7\tcat a b\t1\t1\t4\t1\t0\n"
-    "4\tcat c\t8\tcat c d\t1\t1\t4\t0\t1\n"
+    "0\n"
+    "3\tcat a\t7\tcat a b\t1\t1\t4\t1\t0\t2\n"
+    "4\tcat c\t8\tcat c d\t1\t1\t4\t0\t2\t1\n"
 )
+SMALL_A = dt.Sample(3, "cat a", 7, "cat a b", 1, 1, 4, 1, [("cat c", "cat c d"), ("cat a", "cat a b")])
+SMALL_B = dt.Sample(4, "cat c", 8, "cat c d", 1, 1, 4, 0, [("cat c", "cat c d")])
 
 
 def test_small_file_reads_and_rewrites(tmp_path):
     path = tmp_path / "small.tsv"
     path.write_text(SMALL_FILE, encoding="utf-8")
     a, b = dt.read_dataset(str(path))
-    assert a == dt.Sample(3, "cat a", 7, "cat a b", 1, 1, 4, 1,
-                          [("cat c", "cat c d"), ("cat a", "cat a b")])
-    assert b == dt.Sample(4, "cat c", 8, "cat c d", 1, 1, 4, 0, [])
+    assert a == SMALL_A and b == SMALL_B
     dt.write_dataset([a, b], str(tmp_path / "again.tsv"))
     assert (tmp_path / "again.tsv").read_text(encoding="utf-8") == SMALL_FILE
 
 
 @pytest.mark.parametrize("old, new, line, words", [
-    ("version=2", "version=3", 1, "unsupported"),
+    ("version=3", "version=4", 1, "unsupported"),
+    ("version=3", "version=2", 1, "re-run `rankfuse gen-data`"),
+    ("\trows=2", "", 1, "bad dataset header"),
     ("entries=2", "entries=-1", 1, "negative"),
     ("cat c\tcat c d\n", "cat c\t\n", 2, "bad history entry"),
     ("cat a\tcat a b\n", "cat^a\tcat a b\n", 3, "forbidden"),
     ("0 1\n", "0 2\n", 4, "entry id 2 outside 0..1"),
     ("0 1\n", "x 1\n", 4, "bad entry id"),
-    ("0 1\n", " ".join(["0"] * 51) + "\n", 4, "history longer than 50"),
-    ("\t1\t4\t0\t1\n", "\t1\t4\t0\t2\n", 7, "history_id 2 outside 0..1"),
-    ("\t1\t4\t0\t1\n", "\t1\t5\t0\t1\n", 7, "rsl 5 outside"),
-    ("\t1\t4\t0\t1\n", "\t1\t4\t0\n", 7, "expected 9 columns"),
+    ("\t1\t0\t2\n", "\t1\t0\t51\n", 6, "history_len 51 outside 0..50"),
+    ("\t1\t0\t2\n", "\t1\t2\t2\n", 6, "ends past the 3 clicks"),
+    ("\t0\t2\t1\n", "\t0\t4\t1\n", 7, "history_start 4 outside 0..3"),
+    ("\t4\t1\t0\t2\n", "\t5\t1\t0\t2\n", 6, "rsl 5 outside"),
+    ("\t1\t0\t2\n", "\t1\t0\n", 6, "expected 10 columns"),
+    # the header counts the rows: a file cut at a line boundary is refused
+    ("rows=2", "rows=3", 8, "file ends after 2 of its 3 rows"),
+    ("rows=2", "rows=1", 7, "more rows than the header's rows=1"),
     # ints in any form but the writer's own
     ("entries=2", "entries=02", 1, "bad entries '02'"),
     ("0 1\n", "0 01\n", 4, "bad entry id '01'"),
@@ -374,23 +413,26 @@ def test_table_errors_name_the_line(tmp_path, old, new, line, words):
 
 def test_file_ending_inside_a_table_names_the_line(tmp_path):
     path = tmp_path / "short.tsv"
-    path.write_text(SMALL_FILE.replace("histories=2", "histories=4").split("3\t")[0],
-                    encoding="utf-8")
+    cut = SMALL_FILE.replace("logs=2", "logs=4").split("\n3\t")[0] + "\n"
+    path.write_text(cut, encoding="utf-8")
     with pytest.raises(DatasetParseError) as err:
         dt.read_dataset(str(path))
-    assert err.value.line_no == 6 and "ends inside the history table" in str(err.value)
+    assert err.value.line_no == 6 and "ends inside the log table" in str(err.value)
 
 
 @pytest.mark.parametrize("faults, line, words", [
     # a later column of an earlier row comes before an earlier column of a later row
-    ((("\t1\t4\t1\t0\n", "\t1\t4\t2\t0\n"), ("4\tcat c\t8", "x\tcat c\t8")), 6, "click 2 outside"),
-    ((("3\tcat a\t7", "3\tcat^a\t7"), ("\t1\t4\t0\t1\n", "\t1\t7\t0\t1\n")), 6, "query_text contains forbidden"),
+    ((("\t4\t1\t0\t2\n", "\t4\t2\t0\t2\n"), ("4\tcat c\t8", "x\tcat c\t8")), 6, "click 2 outside"),
+    ((("3\tcat a\t7", "3\tcat^a\t7"), ("\t4\t1\t0\t2\n", "\t7\t1\t0\t2\n")), 6, "query_text contains forbidden"),
     # two faults in one row: the earlier column
-    ((("3\tcat a\t7", "+3\tcat a\t7"), ("\t1\t4\t1\t0\n", "\t1\t9\t1\t0\n")), 6, "bad user_id '+3'"),
-    # a fault in the history table comes before one in the rows
+    ((("3\tcat a\t7", "+3\tcat a\t7"), ("\t4\t1\t0\t2\n", "\t9\t1\t0\t2\n")), 6, "bad user_id '+3'"),
+    # a fault in the log table comes before one in the rows
     ((("0 1\n", "0  1\n"), ("4\tcat c\t8", "4\tcat c\t08")), 4, "bad entry id ''"),
-    # a long history line before a line with a bad id
-    ((("0 1\n", " ".join(["1"] * 51) + "\n"), ("\n3\t", "7\n3\t")), 4, "history longer than 50"),
+    # a window past the click table before a line with a bad id
+    ((("\t1\t0\t2\n", "\t1\t2\t2\n"), ("4\tcat c\t8", "4\tcat c\t08")), 6, "ends past"),
+    # a faulty row comes before a row count that does not match
+    ((("rows=2", "rows=1"), ("\t4\t1\t0\t2\n", "\t5\t1\t0\t2\n")), 6, "rsl 5 outside"),
+    ((("rows=2", "rows=3"), ("4\tcat c\t8", "x\tcat c\t8")), 7, "bad user_id 'x'"),
 ])
 def test_first_of_two_faults_is_reported(tmp_path, faults, line, words):
     text = SMALL_FILE
@@ -404,12 +446,46 @@ def test_first_of_two_faults_is_reported(tmp_path, faults, line, words):
     assert err.value.line_no == line and words in str(err.value)
 
 
+# fields near what the writer writes: its own ints, ints in other forms,
+# texts, and the characters that a reader must refuse
+_FIELD = st.one_of(
+    st.integers(-3, 60).map(str),
+    st.sampled_from(["", "01", "+1", " 1", "1 ", "1_0", "\uff11", "99999999999999999999"]),
+    _TEXT,
+    st.sampled_from(["cat^a", "cat;a", "a b", "a  b"]),
+)
+_INT64 = st.integers(-(2**63), 2**63 - 1).map(str)
+_BIT = st.sampled_from(["0", "1"])
+# per column, a value the writer could write or any field
+_ROW = st.tuples(*(st.one_of(valid, _FIELD) for valid in (
+    _INT64, _TEXT, _INT64, _TEXT, _BIT, _BIT, st.sampled_from("1234"), _BIT,
+    st.integers(0, 12).map(str), st.integers(0, 4).map(str),
+)))
+_LOG = st.lists(st.one_of(st.integers(0, 12).map(str), st.sampled_from(["", "01", "+1", "x"])),
+                max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(_ROW.map("\t".join), max_size=3), logs=st.lists(_LOG.map(" ".join), max_size=4),
+       n_clicks=st.integers(0, 12))
+def test_fast_paths_agree_with_the_line_by_line_paths(rows, logs, n_clicks):
+    # whatever the whole-table checks accept, the line-by-line reader accepts
+    # too, with equal columns
+    fast = dt._rows_fast(rows, n_clicks)
+    if fast is not None:
+        slow = dt._rows_slow(rows, 1, n_clicks)
+        assert [list(col) for col in fast] == [list(col) for col in slow]
+    fast = dt._canonical_ids(logs, n_clicks - 1)
+    if fast is not None:
+        flat, offsets = dt._logs_slow(logs, 1, n_clicks)
+        assert fast[0].tolist() == flat.tolist() and fast[1].tolist() == np.diff(offsets).tolist()
+
+
 def test_dataset_is_a_read_only_sequence_of_samples(tmp_path):
     path = tmp_path / "small.tsv"
     path.write_text(SMALL_FILE, encoding="utf-8")
     ds = dt.read_dataset(str(path))
-    a = dt.Sample(3, "cat a", 7, "cat a b", 1, 1, 4, 1, [("cat c", "cat c d"), ("cat a", "cat a b")])
-    b = dt.Sample(4, "cat c", 8, "cat c d", 1, 1, 4, 0, [])
+    a, b = SMALL_A, SMALL_B
     assert not isinstance(ds, list) and len(ds) == 2
     assert ds[0] == a and ds[-1] == b and ds[1:] == [b]
     assert ds == [a, b] and [a, b] == ds and ds == (a, b) and ds != [b, a]
@@ -433,14 +509,14 @@ def test_from_samples_hashes_a_shared_history_once():
             CountingTuple.hashed += 1
             return super().__hash__()
 
-    shared = [CountingTuple(("cat q", "cat i"))]
+    shared = [CountingTuple(("cat q", "cat i")), CountingTuple(("cat q2", "cat i"))]
     samples = [dt.Sample(k, "cat q", k, f"cat i{k}", 1, 0, 2, 0, shared) for k in range(20)]
     dt.Dataset.from_samples(samples[:1])
     one_row, CountingTuple.hashed = CountingTuple.hashed, 0
     ds = dt.Dataset.from_samples(samples)
     assert CountingTuple.hashed == one_row
-    assert ds.history_id.tolist() == [0] * 20 and len(ds.hist_off) == 2
-    assert ds == samples
+    assert ds.history_start.tolist() == [0] * 20 and ds.history_len.tolist() == [2] * 20
+    assert ds.clicks.size == 2 and ds == samples
 
 
 # ---------------------------------------------------------------------------
@@ -461,19 +537,24 @@ CFG = md.ModelConfig(d=4, field_dim=2, user_buckets=8, item_buckets=8, category_
                      token_buckets=8, base_hidden=(4,), rsl_hidden=(4,), incentive_hidden=(2,))
 
 
-def _assert_same_cache(path, samples, row_sets):
-    idx = _index_for(samples, CFG.d)
+def _assert_same_cache(path, samples, row_sets, same_layout=True):
+    """The cache of the file and that of the samples give equal batches; with
+    same_layout (the file holds the samples' own click table), every cache
+    array is equal too."""
+    idx = _index_for(dt.read_dataset(str(path)), CFG.d)
     from_file = md.TrainingCache(dt.read_dataset(str(path)), idx, CFG)
     from_list = md.TrainingCache(list(samples), idx, CFG)
     arrays = {k for k, v in vars(from_list).items() if isinstance(v, np.ndarray)}
     assert arrays == {k for k, v in vars(from_file).items() if isinstance(v, np.ndarray)}
-    for k in arrays:
+    for k in arrays if same_layout else ():
         a, b = getattr(from_file, k), getattr(from_list, k)
         assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), k
     for rows in row_sets:
         x, y = from_file.batch(rows), from_list.batch(rows)
         for k in ("hist_q_emb", "hist_r_emb", *vars(y)):
             a, b = getattr(x, k), getattr(y, k)
+            if k == "hist_slots" and not same_layout:
+                continue  # positions in two different click tables
             if isinstance(b, np.ndarray):
                 assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), k
             elif k != "cache":
@@ -492,30 +573,29 @@ def test_cache_from_file_equals_cache_from_samples(tmp_path, samples, data):
 
 
 def test_cache_from_hand_written_file_with_unused_tables(tmp_path):
-    # entry 2 and history 1 are not used by any row; histories 0 and 3 are
-    # equal but written twice, and entries 0 and 3 hold the same pair
+    # entry 2 and log 1 are not read by any row; logs 0 and 2 are equal but
+    # written twice, entries 0 and 3 hold the same pair, and the last row
+    # reads a window inside log 0
     text = (
-        "rankfuse-dataset\tversion=2\tentries=4\thistories=4\n"
+        "rankfuse-dataset\tversion=3\tentries=4\tlogs=3\trows=4\n"
         "cat c\tcat c d\n"
         "cat a\tcat a b\n"
         "cät ü\tcät ü x\n"
         "cat c\tcat c d\n"
         "0 1\n"
         "2\n"
-        "\n"
         "3 1\n"
-        "3\tcat a\t7\tcat a b\t1\t1\t4\t1\t2\n"
-        "4\tcat c\t8\tcat c d\t1\t1\t4\t0\t3\n"
-        "3\tcat c\t9\tcat c e\t1\t0\t2\t0\t0\n"
-        "5\tcat a\t7\tcat a b\t1\t1\t4\t1\t2\n"
+        "3\tcat a\t7\tcat a b\t1\t1\t4\t1\t0\t0\n"
+        "4\tcat c\t8\tcat c d\t1\t1\t4\t0\t3\t2\n"
+        "3\tcat c\t9\tcat c e\t1\t0\t2\t0\t0\t2\n"
+        "5\tcat a\t7\tcat a b\t1\t1\t4\t1\t1\t1\n"
     )
     path = tmp_path / "hand.tsv"
     path.write_text(text, encoding="utf-8")
     samples = list(dt.read_dataset(str(path)))
     assert samples[1].history == samples[2].history == [("cat c", "cat c d"), ("cat a", "cat a b")]
-    # histories are numbered by first use, not by their ids in the file
-    assert md.TrainingCache(samples, _index_for(samples, 4), CFG).hist_of.tolist() == [0, 1, 1, 0]
-    _assert_same_cache(path, samples, [np.arange(4), np.array([3, 1, 1, 0])])
+    assert samples[0].history == [] and samples[3].history == [("cat a", "cat a b")]
+    _assert_same_cache(path, samples, [np.arange(4), np.array([3, 1, 1, 0])], same_layout=False)
 
 
 def test_forbidden_characters_rejected_on_write(tmp_path):
@@ -543,28 +623,28 @@ def test_first_faulty_sample_raises_on_write(tmp_path):
 
 
 def test_dataset_read_from_a_file_is_written_by_first_use(tmp_path):
-    # histories listed out of first-use order, one unused, one written twice
+    # logs listed out of first-use order, one unused, one written twice
     hand = tmp_path / "hand.tsv"
     hand.write_text(
-        "rankfuse-dataset\tversion=2\tentries=2\thistories=4\n"
+        "rankfuse-dataset\tversion=3\tentries=2\tlogs=4\trows=3\n"
         "cat c\tcat c d\n"
         "cat a\tcat a b\n"
         "0\n"
         "1\n"
         "1 0\n"
         "1 0\n"
-        "3\tcat a\t7\tcat a b\t1\t1\t4\t1\t3\n"
-        "4\tcat c\t8\tcat c d\t1\t1\t4\t0\t2\n"
-        "5\tcat c\t8\tcat c d\t1\t1\t4\t0\t1\n",
+        "3\tcat a\t7\tcat a b\t1\t1\t4\t1\t4\t2\n"
+        "4\tcat c\t8\tcat c d\t1\t1\t4\t0\t2\t2\n"
+        "5\tcat c\t8\tcat c d\t1\t1\t4\t0\t1\t1\n",
         encoding="utf-8")
     ds = dt.read_dataset(str(hand))
     a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
     dt.write_dataset(ds, str(a))
     dt.write_dataset(list(ds), str(b))
     assert a.read_bytes() == b.read_bytes()
-    assert a.read_text(encoding="utf-8").splitlines()[:5] == [
-        "rankfuse-dataset\tversion=2\tentries=2\thistories=2", "cat a\tcat a b", "cat c\tcat c d",
-        "0 1", "0"]
+    assert a.read_text(encoding="utf-8").splitlines()[:6] == [
+        "rankfuse-dataset\tversion=3\tentries=2\tlogs=2\trows=3", "cat a\tcat a b",
+        "cat c\tcat c d", "0 1", "0", "3\tcat a\t7\tcat a b\t1\t1\t4\t1\t0\t2"]
 
 
 def test_pair_key_separator_is_forbidden(tmp_path):

@@ -560,14 +560,16 @@ def test_index_dim_mismatch_rejected():
 def test_cache_stores_each_history_once():
     samples = make_samples(30, seed=21)
     shared = [("cat0 h", "cat1 h x"), ("cat2 h", "cat0 h x")]
-    for s in samples[::3]:
-        s.history = list(shared)  # equal by value, separate list objects
+    for k, s in enumerate(samples[::3]):
+        # equal by value, separate list objects, each a new user's first history
+        s.user_id, s.history = 100 + k, list(shared)
     cfg = tiny_config()
     idx = make_index(samples, cfg.d)
     cache = md.TrainingCache(samples, idx, cfg)
-    distinct = {tuple(s.history) for s in samples}
-    assert cache.hist_off.size == len(distinct) + 1
-    assert cache.hist_q_rows.size == sum(len(h) for h in distinct)
+    ds = Dataset.from_samples(samples)
+    assert cache.hist_q_rows.size == cache.hist_r_rows.size == ds.clicks.size
+    assert len({(cache.hist_start[r], cache.hist_len[r]) for r in range(0, 30, 3)}) == 1
+    assert ds.clicks.size <= sum(len(h) for h in {tuple(s.history) for s in samples})
     batch = cache.batch(np.arange(len(samples), dtype=np.int64))
     for j, i in enumerate(batch.hist_rows):
         hist = samples[i].history
@@ -742,7 +744,8 @@ def test_rank_candidates_share_one_history():
     cfg = tiny_config()
     idx = make_index(request, cfg.d)
     cache = md.TrainingCache(request, idx, cfg)
-    assert cache.hist_of.tolist() == [0] * 12 and cache.hist_off.tolist() == [0, 2]
+    assert cache.hist_start.tolist() == [0] * 12 and cache.hist_len.tolist() == [2] * 12
+    assert cache.hist_q_rows.size == 2
     # the same scores as candidates that each hold a copy
     copies = [md.sample_for_scoring(3, "cat0 d1", i, f"cat{i % 3} d{i}", list(history))
               for i in range(12)]

@@ -163,6 +163,13 @@ def test_stages_read_each_split_once(tiny, tmp_path):
         assert out["spans"].count("data.read_dataset") == reads, name
     train_spans = traced[list(stages).index("train")]["spans"]
     assert train_spans.count("model.TrainingCache.__init__") == 1
+    # kernels.pad_segments_* and model.hist_slot_fill: the full train and eval
+    # pad each batch's history windows in one pad_segments call
+    for name in ("train", "eval"):
+        out = traced[list(stages).index(name)]
+        batches = out["spans"].count("model.TrainingCache.batch")
+        assert batches > 0 and out["spans"].count("kernels.pad_segments") == batches, name
+        assert direct_children(out, "model.TrainingCache.batch", "kernels.pad_segments") == [1] * batches
 
 
 def test_eval_scores_and_evaluates_once_per_checkpoint(tiny, tmp_path):
