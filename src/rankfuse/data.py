@@ -122,8 +122,7 @@ class Dataset(Sequence):
       `item_text_id` into them;
     - the entry table as text ids `entry_query` and `entry_item`, and the
       click table `clicks`: entry ids, the users' click logs one after
-      another, each newest first; log k spans `log_off[k]:log_off[k + 1]`.
-      Row r's history is the window
+      another, each newest first. Row r's history is the window
       `clicks[history_start[r] : history_start[r] + history_len[r]]`.
 
     `ds[i]` builds row i's Sample on each access; rows that share a window
@@ -134,12 +133,12 @@ class Dataset(Sequence):
     """
 
     def __init__(self, *, texts, query_text_id, item_text_id, entry_query, entry_item,
-                 clicks, log_off, user_id, item_id, category_match, contains_query,
+                 clicks, user_id, item_id, category_match, contains_query,
                  rsl, click, history_start, history_len):
         self.texts = texts
         self.query_text_id, self.item_text_id = query_text_id, item_text_id
         self.entry_query, self.entry_item = entry_query, entry_item
-        self.clicks, self.log_off = clicks, log_off
+        self.clicks = clicks
         self.user_id, self.item_id = user_id, item_id
         self.category_match, self.contains_query = category_match, contains_query
         self.rsl, self.click = rsl, click
@@ -157,11 +156,18 @@ class Dataset(Sequence):
         history grows that window's log, if the window ends at the log's
         newest click (a user's first click starts a log); a history equal to
         one that started a log takes its window; any other starts a log. A
-        generated split thus stores each click once. Texts and entries are
-        numbered by first appearance.
+        generated split thus stores each click once; a history equal to one
+        that a log grew to is not looked up, and is stored again. Texts and
+        entries are numbered by first appearance.
         """
         if isinstance(samples, Dataset):
             return samples
+        return cls._laid_out(samples)[0]
+
+    @classmethod
+    def _laid_out(cls, samples) -> tuple["Dataset", np.ndarray]:
+        """from_samples of any Samples, a Dataset laid out afresh too, and the
+        log bounds: log k spans `log_off[k]:log_off[k + 1]` of `clicks`."""
         samples = list(samples)
         n = len(samples)
         queries = [s.query_text for s in samples]
@@ -217,9 +223,9 @@ class Dataset(Sequence):
             texts=list(text_id), query_text_id=ids(text_id, queries, n),
             item_text_id=ids(text_id, items, n),
             entry_query=entries[0::2], entry_item=entries[1::2],
-            clicks=ids(entry_id, flat, len(flat)), log_off=log_off,
+            clicks=ids(entry_id, flat, len(flat)),
             history_start=log_off[log + 1] - end, history_len=history_len, **ints,
-        )
+        ), log_off
 
     def __len__(self) -> int:
         return self.user_id.shape[0]
@@ -613,10 +619,10 @@ def write_dataset(samples: list[Sample], path: str) -> None:
     `samples`. Every sample is checked before the file is opened; of
     several faulty samples, the first raises.
 
-    The file is written from the columns of Dataset.from_samples (given an
-    iterator, so that a Dataset read from a file is laid out afresh too).
+    The file is written from the columns that Dataset.from_samples gives,
+    laid out afresh for a Dataset read from a file too.
     """
-    ds = Dataset.from_samples(iter(samples))
+    ds, log_off = Dataset._laid_out(samples)
     t = ds.texts
     empty = t.index("") if "" in t else -1
     joined = "".join(t)
@@ -627,7 +633,7 @@ def write_dataset(samples: list[Sample], path: str) -> None:
     # entry ids are 0..E-1, so each is made a str once
     numerals = list(map(str, range(ds.entry_query.size)))
     ids = list(map(numerals.__getitem__, ds.clicks.tolist()))
-    bounds = ds.log_off.tolist()
+    bounds = log_off.tolist()
     text = t.__getitem__
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{DATASET_FORMAT}\tversion={DATASET_VERSION}\tentries={ds.entry_query.size}"
@@ -765,19 +771,11 @@ def _parse_entries(lines: list[str], first: int) -> tuple[list[str], list[str]]:
     return queries, items
 
 
-def _logs_slow(lines: list[str], first: int, n_entries: int):
-    """The log table as CSR (entry ids, offsets), line by line; lines[0] is
-    line `first`."""
-    return kernels.ragged([[_parse_id(x, "entry id", line_no, n_entries) for x in line.split(" ")]
-                           if line else [] for line_no, line in enumerate(lines, start=first)])
-
-
-def _parse_logs(lines: list[str], first: int, n_entries: int):
-    """The log table as CSR (entry ids, offsets); lines[0] is line `first`."""
-    fast = _canonical_ids(lines, n_entries - 1)
-    if fast is None:
-        return _logs_slow(lines, first, n_entries)
-    return fast[0], np.concatenate(([0], np.cumsum(fast[1])))
+def _logs_slow(lines: list[str], first: int, n_entries: int) -> np.ndarray:
+    """The click table, parsed log line by log line; lines[0] is line `first`."""
+    return np.array([_parse_id(x, "entry id", line_no, n_entries)
+                     for line_no, line in enumerate(lines, start=first) if line
+                     for x in line.split(" ")], dtype=np.int64)
 
 
 def _ints_in(fields: list[str], lo: int, hi: int):
@@ -865,7 +863,8 @@ def read_dataset(path) -> Dataset:
             raise DatasetParseError(len(lines) + 1, "file ends inside the entry table")
         at += n_entries
         log_lines = lines[at : at + n_logs]
-        clicks, log_off = _parse_logs(log_lines, at + 1, n_entries)
+        fast = _canonical_ids(log_lines, n_entries - 1)
+        clicks = _logs_slow(log_lines, at + 1, n_entries) if fast is None else fast[0]
         if len(log_lines) < n_logs:
             raise DatasetParseError(len(lines) + 1, "file ends inside the log table")
         at += n_logs
@@ -887,7 +886,7 @@ def read_dataset(path) -> Dataset:
         return np.fromiter(map(text_id.__getitem__, strings), dtype=np.int64, count=len(strings))
 
     return Dataset(texts=texts, query_text_id=ids(qtext), item_text_id=ids(itext),
-                   entry_query=ids(queries), entry_item=ids(items), clicks=clicks, log_off=log_off,
+                   entry_query=ids(queries), entry_item=ids(items), clicks=clicks,
                    **{name: np.asarray(col, dtype=np.int64).reshape(-1) for name, col in ints.items()})
 
 

@@ -914,7 +914,7 @@ def test_unreadable_config_exits_1(tmp_path, capsys, kind, reason):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {config}: "), lines
     assert reason in lines[0]
-    assert not (tmp_path / "o" / "encoder.ckpt").exists()
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command,key,bad,edge", [

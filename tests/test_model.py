@@ -560,16 +560,21 @@ def test_index_dim_mismatch_rejected():
 def test_cache_stores_each_history_once():
     samples = make_samples(30, seed=21)
     shared = [("cat0 h", "cat1 h x"), ("cat2 h", "cat0 h x")]
-    for k, s in enumerate(samples[::3]):
-        # equal by value, separate list objects, each a new user's first history
-        s.user_id, s.history = 100 + k, list(shared)
+    for s in samples[::3]:
+        s.history = list(shared)  # equal by value, separate list objects
+    # no copy is a one-click shift of its user's previous history, which
+    # would grow that history's log instead of looking the copy up
+    prev = {}
+    for r, s in enumerate(samples):
+        assert r % 3 or prev.get(s.user_id) != shared[1:]
+        prev[s.user_id] = s.history
     cfg = tiny_config()
     idx = make_index(samples, cfg.d)
     cache = md.TrainingCache(samples, idx, cfg)
     ds = Dataset.from_samples(samples)
-    assert cache.hist_q_rows.size == cache.hist_r_rows.size == ds.clicks.size
+    # the copies share one window, and the cache one history row per click
     assert len({(cache.hist_start[r], cache.hist_len[r]) for r in range(0, 30, 3)}) == 1
-    assert ds.clicks.size <= sum(len(h) for h in {tuple(s.history) for s in samples})
+    assert cache.hist_q_rows.size == cache.hist_r_rows.size == ds.clicks.size
     batch = cache.batch(np.arange(len(samples), dtype=np.int64))
     for j, i in enumerate(batch.hist_rows):
         hist = samples[i].history
